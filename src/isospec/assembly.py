@@ -321,8 +321,7 @@ def conformal_factor(pert, t):
 def exact_perturbed_pair(pair, pert, t):
     """Exact operator family at finite t.
 
-    K is conformally invariant in 2D, so only the mass diagonal changes:
-    M_t = M0 diag(1/c(t)) with c the inverse-metric conformal factor.
+    The conformal_pair of the inverse-metric conformal factor c(t).
     Returns the input pair itself at t = 0.
     """
     if pair.surface is None or pert.surface is not pair.surface:
@@ -331,7 +330,15 @@ def exact_perturbed_pair(pair, pert, t):
         )
     if t == 0.0:
         return pair
-    c = conformal_factor(pert, t)
+    return conformal_pair(pair, conformal_factor(pert, t))
+
+
+def conformal_pair(pair, c):
+    """Exact pair for the inverse-metric conformal factor c > 0.
+
+    K is conformally invariant in 2D, so only the mass diagonal changes:
+    M = M0 diag(1/c).  Callers check the positivity of c.
+    """
     return OperatorPair(
         surface=pair.surface, stiffness=pair.stiffness, mass=pair.mass / c
     )

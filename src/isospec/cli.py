@@ -236,6 +236,8 @@ def load_config(command, args):
         raise ConfigError(f"{command}: basis_size must be at least 1")
     if config.kernel_tol is not None and config.kernel_tol <= 0:
         raise ConfigError(f"{command}: kernel_tol must be positive")
+    if not all(0.0 <= tau <= 1.0 for tau in config.tau_grid):
+        raise ConfigError(f"{command}: tau_grid entries must lie in [0, 1]")
     return config
 
 
@@ -294,11 +296,10 @@ def run_corrections(config):
     # the requested modes, extended to the end of their degeneracy group
     spectral = _solve(config, pair)
     report = compute_corrections(spectral, ops)
-    n_report = config.n_modes
-    for members in report.degeneracy_groups:
-        if members[0] < config.n_modes <= members[-1]:
-            n_report = members[-1] + 1
-    n_report = min(n_report, report.n_modes)
+    n_report = min(
+        eigen.complete_group_count(report.degeneracy_groups, config.n_modes),
+        report.n_modes,
+    )
     payload = report.to_json_dict()
     for key in (
         "lambda0",
@@ -318,6 +319,9 @@ def run_corrections(config):
 
 def run_obstruction(config):
     surface = config.build_surface()
+    if config.basis_size > surface.node_count:
+        n = surface.node_count
+        raise ConfigError(f"obstruction: basis_size exceeds the {n} surface nodes")
     pair = assemble_base(surface)
     spectral = _solve(config, pair, config.n_modes)
     basis = default_field_basis(surface, config.basis_size, spectral=spectral)

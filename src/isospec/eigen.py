@@ -101,6 +101,14 @@ def degeneracy_partition(values, tol_deg):
     return tuple(groups)
 
 
+def complete_group_count(groups, n_modes):
+    """Smallest count >= n_modes that does not split a degeneracy group."""
+    for members in groups:
+        if members[0] < n_modes <= members[-1]:
+            return members[-1] + 1
+    return n_modes
+
+
 def _fix_signs(vectors):
     """Largest-magnitude entry of each column positive; first index on ties."""
     idx = np.argmax(np.abs(vectors), axis=0)

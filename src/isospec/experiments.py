@@ -18,6 +18,7 @@ A Weyl counting fit (area from eigenvalue growth) rounds out the toolbox.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -25,9 +26,9 @@ import numpy as np
 
 from . import eigen
 from .assembly import (
-    OperatorPair,
     assemble_base,
     conformal_operators,
+    conformal_pair,
     exact_perturbed_pair,
 )
 from .errors import (
@@ -39,6 +40,8 @@ from .errors import (
     SurfaceMismatchError,
 )
 from .perturb import (
+    _cross_group_mask,
+    _divided,
     branch_permutation,
     compute_corrections,
     predicted_spectrum,
@@ -277,14 +280,9 @@ def induction_verifier(
         elements = np.asarray(elements, dtype=float)
     group_ids = spectral.group_ids()
 
-    keep = np.ones((n_modes, n_modes), dtype=bool)
-    for members in spectral.degeneracy_groups:
-        mg = np.array(members)
-        keep[np.ix_(mg, mg)] = False
+    keep = _cross_group_mask(spectral.degeneracy_groups, n_modes)
     weights = lam[:, None] * lam[None, :]
-    gaps = lam[None, :] - lam[:, None]
-    terms = np.zeros((n_modes, n_modes))
-    np.divide(weights * elements * elements, gaps, out=terms, where=keep)
+    terms = _divided(weights * elements * elements, lam, keep)
 
     if lambda1 is None:
         lambda1 = lam * np.diag(elements)
@@ -360,7 +358,8 @@ def convexity_probe(surface, c1, c2, n_modes, tau_grid, tol_deg=eigen.DEFAULT_TO
     Deviations are measured against the tau = 0 endpoint (the c2 spectrum)
     as |lambda_n(tau) - lambda_n(0)| / (1 + |lambda_n(0)|), maximized over
     the first n_modes; the endpoint gap compares the two endpoint spectra
-    the same way.
+    the same way.  Each distinct tau is solved once, so endpoints on the
+    grid reuse the spectra of their grid points.
     """
     if c1.surface is not surface or c2.surface is not surface:
         raise SurfaceMismatchError("conformal factors on a different surface")
@@ -372,12 +371,11 @@ def convexity_probe(surface, c1, c2, n_modes, tau_grid, tol_deg=eigen.DEFAULT_TO
 
     pair = assemble_base(surface)
 
+    @functools.cache
     def blended_spectrum(tau):
         c = tau * c1.values + (1.0 - tau) * c2.values
         _positive_factor(c, f"blended factor at tau={tau!r}")
-        blend = OperatorPair(
-            surface=surface, stiffness=pair.stiffness, mass=pair.mass / c
-        )
+        blend = conformal_pair(pair, c)
         return eigen.solve(blend, n_modes, tol_deg).eigenvalues
 
     reference = blended_spectrum(0.0)
@@ -404,9 +402,13 @@ def metric_side_probe(surface, f, n_modes, t_grid, tol_deg=eigen.DEFAULT_TOL_DEG
     the collapsed metric-side second order
     lambda2_n = sum (lambda_n)^2 |<psi_i, f psi_n>|^2 / (lambda_n - lambda_i)
     against the generic machinery, and compares the quadratic prediction
-    with exact eigensolves at every t in t_grid.  When t_grid contains a
-    symmetric pair +-h around the smallest step, central finite differences
-    for both corrections are reported as well.  Their centre value comes
+    with exact eigensolves at every t in t_grid.  The collapsed sum comes
+    from the correction report itself: H1 = -f Delta0 makes each numerator
+    E[i, n]^2, and psi1_coeffs[i, n] = E[i, n] / (lambda_n - lambda_i) on
+    the cross-group mask, so each term is psi1_coeffs[i, n]^2 times the
+    gap.  When t_grid contains a symmetric pair +-h around the smallest
+    step, central finite differences for both corrections are reported as
+    well.  Their centre value comes
     from a solve of the same shape as the +-h points (n_modes, extended to
     close the degeneracy group at the cut); the reported lambda0 still
     comes from the full solve.
@@ -421,16 +423,10 @@ def metric_side_probe(surface, f, n_modes, t_grid, tol_deg=eigen.DEFAULT_TOL_DEG
     report = compute_corrections(spectral, ops)
 
     lam = spectral.eigenvalues
-    elements = _adapted_field_elements(spectral, ops, report)
-    keep = np.ones((lam.shape[0], lam.shape[0]), dtype=bool)
-    for members in report.degeneracy_groups:
-        mg = np.array(members)
-        keep[np.ix_(mg, mg)] = False
-    gaps = lam[None, :] - lam[:, None]
-    numer = (lam[None, :] ** 2) * elements * elements
-    ratio = np.zeros_like(numer)
-    np.divide(numer, gaps, out=ratio, where=keep)
-    collapsed = ratio.sum(axis=0)
+    keep = _cross_group_mask(report.degeneracy_groups, lam.shape[0])
+    coeffs = report.psi1_coeffs
+    terms = coeffs * coeffs * (lam[None, :] - lam[:, None])
+    collapsed = np.where(keep, terms, 0.0).sum(axis=0)
 
     scale = 1.0 + lam[:n_modes] ** 2
     collapsed_vs_generic = float(
@@ -439,7 +435,7 @@ def metric_side_probe(surface, f, n_modes, t_grid, tol_deg=eigen.DEFAULT_TOL_DEG
 
     # always compare across complete degeneracy groups so branch pairing
     # between prediction and exact solves cannot straddle the cut
-    n_eval = _complete_group_count(report.degeneracy_groups, n_modes)
+    n_eval = eigen.complete_group_count(report.degeneracy_groups, n_modes)
     deviations = np.empty(t_grid.shape[0])
     exact_cache = {}
     for k, t in enumerate(t_grid):
@@ -482,14 +478,6 @@ def _positions(perm):
     return pos
 
 
-def _complete_group_count(groups, n_modes):
-    """Smallest count >= n_modes that does not split a degeneracy group."""
-    for members in groups:
-        if members[0] < n_modes <= members[-1]:
-            return members[-1] + 1
-    return n_modes
-
-
 def finite_difference_corrections(
     pair, pert, report, h, n_modes=None, tol_deg=eigen.DEFAULT_TOL_DEG
 ):
@@ -506,7 +494,7 @@ def finite_difference_corrections(
     """
     if n_modes is None:
         n_modes = report.n_modes
-    n_eval = _complete_group_count(report.degeneracy_groups, n_modes)
+    n_eval = eigen.complete_group_count(report.degeneracy_groups, n_modes)
     plus = eigen.solve(exact_perturbed_pair(pair, pert, h), n_eval, tol_deg)
     minus = eigen.solve(exact_perturbed_pair(pair, pert, -h), n_eval, tol_deg)
     return _central_differences(
@@ -532,17 +520,6 @@ def _central_differences(pair, report, plus, minus, h, n_modes, tol_deg):
     fd1 = (plus_b - minus_b) / (2.0 * h)
     fd2 = 0.5 * (plus_b - 2.0 * lam_b + minus_b) / h**2
     return fd1, fd2
-
-
-def _adapted_field_elements(spectral, ops, report):
-    """<psi_i, f psi_n> in the adapted basis implied by the report."""
-    psi = spectral.eigenvectors.copy()
-    for gid, rot in report.basis_rotations.items():
-        idx = np.array(report.degeneracy_groups[gid])
-        psi[:, idx] = psi[:, idx] @ rot
-    f_values = -ops.h1_multiplier  # metric side stores -f as the multiplier
-    weighted = (spectral.pair.mass * f_values)[:, None] * psi
-    return psi.T @ weighted
 
 
 def weyl_volume_estimate(spectral):

@@ -54,13 +54,9 @@ def evaluate(text, coords):
     Raises
     ------
     ExpressionError
-        On syntax errors or unsupported constructs.
+        On syntax errors, unsupported constructs, or nesting too deep for
+        the parser or the evaluator.
     """
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse expression {text!r}: {exc.msg}") from exc
-
     names = dict(coords)
     names["pi"] = math.pi
     n = None
@@ -68,7 +64,13 @@ def evaluate(text, coords):
         n = len(np.asarray(value))
         break
 
-    result = _eval_node(tree.body, names)
+    try:
+        result = _eval_node(ast.parse(text, mode="eval").body, names)
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse expression {text!r}: {exc.msg}") from exc
+    except (MemoryError, RecursionError) as exc:
+        # the parser overflows (MemoryError) or recurses on deep nesting
+        raise ExpressionError("expression too large or nested too deeply") from exc
     out = np.asarray(result, dtype=float)
     if out.ndim == 0 and n is not None:
         # constant expression: broadcast to one value per node

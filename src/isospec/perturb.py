@@ -34,17 +34,6 @@ TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class SecondOrderDetails:
-    """Decomposition and truncation metadata for second-order corrections."""
-
-    sum_term: np.ndarray = field(repr=False)
-    h2_term: np.ndarray = field(repr=False)
-    tail_estimates: np.ndarray = field(repr=False)
-    truncation_warnings: np.ndarray = field(repr=False)
-    truncation_modes: int = 0
-
-
-@dataclass(frozen=True)
 class CorrectionReport:
     """Per-mode corrections through second order.
 
@@ -85,9 +74,56 @@ class CorrectionReport:
 
 def matrix_elements(spectral, ops):
     """E[i, n] = <psi_i, H1 psi_n> in the M0 inner product."""
+    return _elements(spectral.eigenvectors, ops)
+
+
+def _elements(psi, ops):
+    """<psi_i, H1 psi_n> in the M0 inner product over the columns of psi."""
+    return psi.T @ (ops.pair.mass[:, None] * ops.apply_h1(psi))
+
+
+def _cross_group_mask(groups, n_modes, n_sum=None):
+    """keep[i, n]: whether term i enters mode n's divided sums.
+
+    Excludes every pair inside one degeneracy group (their numerators
+    vanish in the adapted basis, so the exclusion is structural, not
+    threshold-based) and, under truncation, every row i >= n_sum.
+    """
+    keep = np.ones((n_modes, n_modes), dtype=bool)
+    for members in groups:
+        mg = np.array(members)
+        keep[np.ix_(mg, mg)] = False
+    if n_sum is not None:
+        if n_sum < 1:
+            raise ModeCountError("truncation_modes must be at least 1")
+        keep[n_sum:, :] = False
+    return keep
+
+
+def _divided(numer, lam, keep):
+    """numer[i, n] / (lambda_n - lambda_i) where keep, zero elsewhere.
+
+    Refuses with SmallGapError when a kept gap falls below GAP_GUARD.
+    """
+    gaps = lam[None, :] - lam[:, None]
+    tight = keep & (np.abs(gaps) < GAP_GUARD * (1.0 + np.abs(lam[None, :])))
+    if np.any(tight):
+        i, n = np.argwhere(tight)[0]
+        raise SmallGapError(
+            f"cross-group gap below guard between modes {int(i)} and {int(n)}; "
+            "increase tol_deg"
+        )
+    out = np.zeros_like(numer)
+    np.divide(numer, gaps, out=out, where=keep)
+    return out
+
+
+def _lambda2(spectral, ops, elements, keep):
+    """(lambda2, its divided sum) from E and the cross-group mask."""
     psi = spectral.eigenvectors
-    mass = ops.pair.mass
-    return psi.T @ (mass[:, None] * ops.apply_h1(psi))
+    sum_term = _divided(elements * elements.T, spectral.eigenvalues, keep).sum(axis=0)
+    h2_term = np.einsum("in,in->n", psi, ops.pair.mass[:, None] * ops.apply_h2(psi))
+    return sum_term + h2_term, sum_term
 
 
 def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
@@ -122,7 +158,7 @@ def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
     for gid in multi:
         idx = np.array(groups[gid])
         block = psi[:, idx]
-        b = block.T @ (mass[:, None] * ops.apply_h1(block))
+        b = _elements(block, ops)
         b = 0.5 * (b + b.T)
         d, r = _ascending_eigensystem(b)
         psi[:, idx] = block @ r
@@ -131,7 +167,7 @@ def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
 
     # full matrix elements in the stage-1 basis; the second-order effective
     # blocks below are invariant under the stage-2 rotations of other groups
-    elements = psi.T @ (mass[:, None] * ops.apply_h1(psi))
+    elements = _elements(psi, ops)
     h2psi = ops.apply_h2(psi)
 
     for gid in multi:
@@ -177,7 +213,7 @@ def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
         psi[:, idx] = fixed
         rotations[gid] = rotations[gid] * signs[None, :]
 
-    _check_adapted(psi, lam, mass, ops, groups, multi)
+    _check_adapted(psi, lam, ops, groups, multi)
     psi.flags.writeable = False
     return SpectralData(
         pair=spectral.pair,
@@ -222,11 +258,10 @@ def _tie_runs(values, tol):
     return runs
 
 
-def _check_adapted(psi, lam, mass, ops, groups, multi):
+def _check_adapted(psi, lam, ops, groups, multi):
     for gid in multi:
         idx = np.array(groups[gid])
-        block = psi[:, idx]
-        b = block.T @ (mass[:, None] * ops.apply_h1(block))
+        b = _elements(psi[:, idx], ops)
         off = np.abs(b - np.diag(np.diag(b))).max()
         scale = max(np.abs(np.diag(b)).max(), 1.0 + abs(float(lam[idx[0]])))
         if off > 1e-10 * scale:
@@ -277,73 +312,17 @@ def first_order_vector(spectral, ops, n, truncation_modes=None):
     return coeffs
 
 
-def second_order(spectral, ops, truncation_modes=None, details=False):
-    """lambda2 per mode at the given truncation; optionally with metadata.
+def second_order(spectral, ops, truncation_modes=None):
+    """lambda2 per mode at the given truncation.
 
     The divided sum runs over computed modes outside each mode's degeneracy
-    group (in-group numerators vanish in the adapted basis; exclusion is
-    structural, not threshold-based).  The tail estimate bounds the omitted
-    terms through the completeness identity
-    sum_i E[i,n] E[n,i] = <H1.adj psi_n, H1 psi_n>.
+    group, truncated to the first truncation_modes rows; compute_corrections
+    takes lambda2 from the same helpers, so both agree bit for bit.
     """
     n_modes = spectral.n_modes
     n_sum = n_modes if truncation_modes is None else min(truncation_modes, n_modes)
-    if n_sum < 1:
-        raise ModeCountError("truncation_modes must be at least 1")
-    lam = spectral.eigenvalues
-    psi = spectral.eigenvectors
-    mass = ops.pair.mass
-
-    elements = matrix_elements(spectral, ops)
-    products = elements * elements.T
-    gaps = lam[None, :] - lam[:, None]
-
-    keep = np.ones((n_modes, n_modes), dtype=bool)
-    for members in spectral.degeneracy_groups:
-        mg = np.array(members)
-        keep[np.ix_(mg, mg)] = False
-    keep[n_sum:, :] = False
-
-    tight = keep & (np.abs(gaps) < GAP_GUARD * (1.0 + np.abs(lam[None, :])))
-    if np.any(tight):
-        i, n = np.argwhere(tight)[0]
-        raise SmallGapError(
-            f"cross-group gap below guard between modes {int(i)} and {int(n)}; "
-            "increase tol_deg"
-        )
-    ratio = np.zeros_like(products)
-    np.divide(products, gaps, out=ratio, where=keep)
-    sum_term = ratio.sum(axis=0)
-    h2_term = np.einsum("in,in->n", psi, mass[:, None] * ops.apply_h2(psi))
-    lambda2 = sum_term + h2_term
-    if not details:
-        return lambda2
-
-    total = np.einsum(
-        "in,in->n", ops.apply_h1_adjoint(psi), mass[:, None] * ops.apply_h1(psi)
-    )
-    partial = products[:n_sum, :].sum(axis=0)
-    tail_raw = np.maximum(total - partial, 0.0)
-    tail_raw[tail_raw < 1e-10 * (1.0 + np.abs(total))] = 0.0
-    gap_edge = lam[n_sum - 1] - lam
-    tails = np.full(n_modes, np.inf)
-    np.divide(tail_raw, gap_edge, out=tails, where=gap_edge > 0.0)
-    tails[tail_raw == 0.0] = 0.0
-    warn = tails > np.maximum(0.01 * np.abs(sum_term), 1e-12 * (1.0 + lam) ** 2)
-    if np.any(warn):
-        logger.warning(
-            "second-order truncation tail above 1%% of the partial sum for "
-            "%d of %d modes",
-            int(warn.sum()),
-            n_modes,
-        )
-    return lambda2, SecondOrderDetails(
-        sum_term=sum_term,
-        h2_term=h2_term,
-        tail_estimates=tails,
-        truncation_warnings=warn,
-        truncation_modes=n_sum,
-    )
+    keep = _cross_group_mask(spectral.degeneracy_groups, n_modes, n_sum)
+    return _lambda2(spectral, ops, matrix_elements(spectral, ops), keep)[0]
 
 
 def qm_special_case(spectral, h1):
@@ -368,17 +347,8 @@ def qm_special_case(spectral, h1):
 
     # independent arithmetic path through the squared-element formula
     elements = matrix_elements(adapted, ops)
-    lam = adapted.eigenvalues
-    n_modes = adapted.n_modes
-    squares = elements**2
-    keep = np.ones((n_modes, n_modes), dtype=bool)
-    for members in adapted.degeneracy_groups:
-        mg = np.array(members)
-        keep[np.ix_(mg, mg)] = False
-    gaps = lam[None, :] - lam[:, None]
-    ratio = np.zeros_like(squares)
-    np.divide(squares, gaps, out=ratio, where=keep)
-    lambda2_explicit = ratio.sum(axis=0)
+    keep = _cross_group_mask(adapted.degeneracy_groups, adapted.n_modes)
+    lambda2_explicit = _divided(elements**2, adapted.eigenvalues, keep).sum(axis=0)
     scale1 = 1.0 + np.abs(lambda1)
     scale2 = 1.0 + np.abs(lambda2)
     if np.any(np.abs(np.diag(elements) - lambda1) > 1e-12 * scale1) or np.any(
@@ -391,7 +361,15 @@ def qm_special_case(spectral, h1):
 
 
 def compute_corrections(spectral, ops, truncation_modes=None):
-    """Adapt the basis and assemble the full correction report."""
+    """Adapt the basis and assemble the full correction report.
+
+    One element matrix E in the adapted basis and one cross-group mask
+    give lambda2 (as second_order does), the psi1 coefficients
+    E[i, n] / (lambda_n - lambda_i) and the truncation tails.  The tail
+    estimate bounds the omitted terms through the completeness identity
+    sum_i E[i,n] E[n,i] = <H1.adj psi_n, H1 psi_n>, which needs no full
+    basis: the retained partial sum is subtracted from the right side.
+    """
     adapted = adapt_degenerate_basis(spectral, ops)
     n_modes = adapted.n_modes
     n_sum = n_modes if truncation_modes is None else min(truncation_modes, n_modes)
@@ -400,19 +378,30 @@ def compute_corrections(spectral, ops, truncation_modes=None):
     mass = ops.pair.mass
 
     lambda1 = first_order(adapted, ops)
-    lambda2, detail = second_order(
-        adapted, ops, truncation_modes=n_sum, details=True
-    )
-
+    keep = _cross_group_mask(adapted.degeneracy_groups, n_modes, n_sum)
     elements = matrix_elements(adapted, ops)
-    gaps = lam[None, :] - lam[:, None]
-    keep = np.ones((n_modes, n_modes), dtype=bool)
-    for members in adapted.degeneracy_groups:
-        mg = np.array(members)
-        keep[np.ix_(mg, mg)] = False
-    keep[n_sum:, :] = False
-    coeffs = np.zeros_like(elements)
-    np.divide(elements, gaps, out=coeffs, where=keep)
+    lambda2, sum_term = _lambda2(adapted, ops, elements, keep)
+
+    total = np.einsum(
+        "in,in->n", ops.apply_h1_adjoint(psi), mass[:, None] * ops.apply_h1(psi)
+    )
+    partial = (elements[:n_sum, :] * elements.T[:n_sum, :]).sum(axis=0)
+    tail_raw = np.maximum(total - partial, 0.0)
+    tail_raw[tail_raw < 1e-10 * (1.0 + np.abs(total))] = 0.0
+    gap_edge = lam[n_sum - 1] - lam
+    tails = np.full(n_modes, np.inf)
+    np.divide(tail_raw, gap_edge, out=tails, where=gap_edge > 0.0)
+    tails[tail_raw == 0.0] = 0.0
+    warn = tails > np.maximum(0.01 * np.abs(sum_term), 1e-12 * (1.0 + lam) ** 2)
+    if np.any(warn):
+        logger.warning(
+            "second-order truncation tail above 1%% of the partial sum for "
+            "%d of %d modes",
+            int(warn.sum()),
+            n_modes,
+        )
+
+    coeffs = _divided(elements, lam, keep)
     diag = -0.5 * np.einsum("in,in->n", psi, mass[:, None] * (ops.g1[:, None] * psi))
     coeffs[np.arange(n_modes), np.arange(n_modes)] = diag
 
@@ -425,8 +414,8 @@ def compute_corrections(spectral, ops, truncation_modes=None):
         degeneracy_groups=adapted.degeneracy_groups,
         tol_deg=adapted.tol_deg,
         truncation_modes=n_sum,
-        tail_estimates=detail.tail_estimates,
-        truncation_warnings=detail.truncation_warnings,
+        tail_estimates=tails,
+        truncation_warnings=warn,
     )
 
 

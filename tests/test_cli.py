@@ -222,6 +222,45 @@ def test_bad_expression_is_config_error(tmp_path, capsys):
     assert last_error(capsys)["error"] == "ExpressionError"
 
 
+def only_error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return json.loads(err[0])
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "-" * 200000 + "x",  # parser stack overflow (MemoryError)
+        "x+" * 200000 + "x",  # recursion while the parser builds the tree
+        "x+" * 2000 + "x",  # parses, recursion while evaluating
+    ],
+    ids=["deep-unary", "deep-binary-parse", "deep-binary-eval"],
+)
+def test_deeply_nested_expression_is_config_error(tmp_path, capsys, expr):
+    config = write_config(tmp_path, torus_config(f1=expr))
+    assert cli.main(["corrections", "--config", config, "--out", str(tmp_path)]) == 2
+    assert only_error(capsys)["error"] == "ExpressionError"
+
+
+def test_tau_grid_outside_unit_interval_is_config_error(tmp_path, capsys):
+    config = write_config(
+        tmp_path, torus_config(n_modes=4, c1="1", c2="1", tau_grid=[0.5, 2.0])
+    )
+    assert cli.main(["convexity", "--config", config, "--out", str(tmp_path)]) == 2
+    record = only_error(capsys)
+    assert record["error"] == "ConfigError"
+    assert "tau_grid" in record["message"]
+
+
+def test_basis_larger_than_surface_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, torus_config(nx=8, basis_size=100))
+    assert cli.main(["obstruction", "--config", config, "--out", str(tmp_path)]) == 2
+    record = only_error(capsys)
+    assert record["error"] == "ConfigError"
+    assert "basis_size" in record["message"]
+
+
 # ------------------------------------------------------------ numerical errors
 
 

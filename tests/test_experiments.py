@@ -301,6 +301,42 @@ def test_convexity_deviation_order_in_tau(torus12):
     assert 3.6 <= ratio <= 4.4
 
 
+def test_convexity_solves_each_tau_once(torus12, monkeypatch):
+    c1 = field_from_expression(torus12, "1 + 0.15*cos(4*pi*x)")
+    c2 = field_from_expression(torus12, "1 + 0.1*sin(2*pi*y)")
+    taus = (0.0, 0.25, 0.5, 0.75, 1.0)
+    pair = assemble_base(torus12)
+    spectra = [
+        eigen.solve(
+            OperatorPair(
+                surface=torus12,
+                stiffness=pair.stiffness,
+                mass=pair.mass / (tau * c1.values + (1.0 - tau) * c2.values),
+            ),
+            6,
+        ).eigenvalues
+        for tau in taus
+    ]
+    calls = []
+    solve = eigen.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "solve", counted)
+    report = convexity_probe(torus12, c1, c2, 6, taus)
+    assert len(calls) == len(taus)
+    scale = 1.0 + np.abs(spectra[0])
+    deviations = np.abs(np.vstack(spectra) - spectra[0]) / scale
+    assert np.array_equal(report.eigenvalues, np.vstack(spectra))
+    assert np.array_equal(report.deviations, deviations)
+    assert np.array_equal(report.spectral_distances, deviations.max(axis=1))
+    assert report.endpoints_isospectral_gap == float(
+        np.max(np.abs(spectra[-1] - spectra[0]) / scale)
+    )
+
+
 def test_convexity_rejects_bad_grid(torus12):
     c = constant_field(torus12, 1.0)
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from isospec import eigen
+from isospec import eigen, perturb
 from isospec.assembly import (
     OperatorPair,
     PerturbationOperators,
@@ -221,6 +221,30 @@ def test_second_order_matches_finite_difference():
     _, fd2 = finite_difference_corrections(pair, pert, report, 1e-3, n_modes=13)
     scale = 1.0 + np.abs(report.lambda0[:13])
     assert np.abs(report.lambda2[:13] - fd2).max() <= 1e-3 * scale.max()
+
+
+def test_corrections_form_elements_once(monkeypatch):
+    _, spectral, _, ops = conformal_setup(12, "cos(2*pi*x) + 0.3*cos(4*pi*y)")
+    calls = []
+    original = perturb.matrix_elements
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(perturb, "matrix_elements", counted)
+    compute_corrections(spectral, ops)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("truncation", [None, 30])
+def test_corrections_lambda2_is_second_order(truncation):
+    # cos(2 pi x) leaves first-order ties, so stage 2 of the adaptation runs
+    _, spectral, _, ops = conformal_setup(12, "cos(2*pi*x) + 0.3*cos(4*pi*y)")
+    report = compute_corrections(spectral, ops, truncation_modes=truncation)
+    adapted = adapt_degenerate_basis(spectral, ops)
+    expected = second_order(adapted, ops, truncation_modes=truncation)
+    assert np.array_equal(report.lambda2, expected)
 
 
 def test_truncation_tail_bounds_missing_sum():
