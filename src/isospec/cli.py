@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -168,6 +169,8 @@ def _grid_values(data, key, context):
     for entry in raw:
         if isinstance(entry, bool) or not isinstance(entry, (int, float)):
             raise ConfigError(f"{context}: '{key}' entries must be numbers")
+        if not math.isfinite(entry):
+            raise ConfigError(f"{context}: '{key}' entries must be finite")
         values.append(float(entry))
     return tuple(values)
 

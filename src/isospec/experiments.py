@@ -400,18 +400,20 @@ def metric_side_probe(surface, f, n_modes, t_grid, tol_deg=eigen.DEFAULT_TOL_DEG
 
     Solves the full spectrum so the divided sums are untruncated, checks
     the collapsed metric-side second order
-    lambda2_n = sum (lambda_n)^2 |<psi_i, f psi_n>|^2 / (lambda_n - lambda_i)
-    against the generic machinery, and compares the quadratic prediction
-    with exact eigensolves at every t in t_grid.  The collapsed sum comes
-    from the correction report itself: H1 = -f Delta0 makes each numerator
-    E[i, n]^2, and psi1_coeffs[i, n] = E[i, n] / (lambda_n - lambda_i) on
-    the cross-group mask, so each term is psi1_coeffs[i, n]^2 times the
-    gap.  When t_grid contains a symmetric pair +-h around the smallest
-    step, central finite differences for both corrections are reported as
-    well.  Their centre value comes
-    from a solve of the same shape as the +-h points (n_modes, extended to
-    close the degeneracy group at the cut); the reported lambda0 still
-    comes from the full solve.
+    lambda2_n = sum_i (lambda_n)^2 |<psi_i, f psi_n>|^2 / (lambda_n - lambda_i)
+                + lambda1_n^2 / lambda_n,
+    the sum over modes i outside the degeneracy group of n and the last
+    term for lambda_n > 0 only, against the generic machinery, and
+    compares the quadratic prediction with exact eigensolves at every t in
+    t_grid.  The divided sum comes from the correction report itself:
+    H1 = -f Delta0 makes each numerator E[i, n]^2, and psi1_coeffs[i, n] =
+    E[i, n] / (lambda_n - lambda_i) on the cross-group mask, so each term
+    is psi1_coeffs[i, n]^2 times the gap.  When t_grid contains a
+    symmetric pair +-h around the smallest step, central finite
+    differences for both corrections are reported as well.  Their centre
+    value comes from a solve of the same shape as the +-h points (n_modes,
+    extended to close the degeneracy group at the cut); the reported
+    lambda0 still comes from the full solve.
     """
     if f.surface is not surface:
         raise SurfaceMismatchError("field on a different surface")
@@ -426,7 +428,10 @@ def metric_side_probe(surface, f, n_modes, t_grid, tol_deg=eigen.DEFAULT_TOL_DEG
     keep = _cross_group_mask(report.degeneracy_groups, lam.shape[0])
     coeffs = report.psi1_coeffs
     terms = coeffs * coeffs * (lam[None, :] - lam[:, None])
-    collapsed = np.where(keep, terms, 0.0).sum(axis=0)
+    in_group = np.divide(
+        report.lambda1**2, lam, out=np.zeros_like(lam), where=lam > 0.0
+    )
+    collapsed = np.where(keep, terms, 0.0).sum(axis=0) + in_group
 
     scale = 1.0 + lam[:n_modes] ** 2
     collapsed_vs_generic = float(

@@ -32,6 +32,7 @@ from .surface import (
     ScalarField,
     field_from_expression,
     fourier_fields,
+    icosphere_arrays,
     make_torus,
     mesh_from_arrays,
 )
@@ -243,42 +244,6 @@ def _weyl(rng):
     spectral = eigen.solve(pair, 100)
     area = weyl_volume_estimate(spectral)
     assert abs(area - 1.0) <= 0.15, f"fitted area {area:.3f}"
-
-
-def icosphere_arrays(subdivisions):
-    """Vertices/faces of a unit icosphere by icosahedron subdivision."""
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
-    verts = [
-        (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
-        (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
-        (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
-    ]
-    faces = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    vertices = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
-    for _ in range(subdivisions):
-        midpoint = {}
-        new_faces = []
-
-        def midpoint_index(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in midpoint:
-                mid = vertices[a] + vertices[b]
-                vertices.append(mid / np.linalg.norm(mid))
-                midpoint[key] = len(vertices) - 1
-            return midpoint[key]
-
-        for a, b, c in faces:
-            ab = midpoint_index(a, b)
-            bc = midpoint_index(b, c)
-            ca = midpoint_index(c, a)
-            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        faces = new_faces
-    return np.array(vertices), np.array(faces, dtype=np.int64)
 
 
 def run_selftest(seed=0, stream=None):

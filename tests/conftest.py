@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from isospec.assembly import assemble_base
-from isospec.selftest import icosphere_arrays
-from isospec.surface import make_torus
+from isospec.surface import icosphere_arrays, make_torus
 
 OCTAHEDRON_OFF = """OFF
 6 8 12

@@ -18,12 +18,12 @@ from isospec.errors import (
     PositivityError,
     SurfaceMismatchError,
 )
-from isospec.selftest import icosphere_arrays
 from isospec.surface import (
     ConformalPerturbation,
     PerturbationSide,
     constant_field,
     field_from_expression,
+    icosphere_arrays,
     load_mesh,
     make_torus,
     mesh_from_arrays,

@@ -253,6 +253,24 @@ def test_tau_grid_outside_unit_interval_is_config_error(tmp_path, capsys):
     assert "tau_grid" in record["message"]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "command, key, extra",
+    [
+        ("metric-probe", "t_grid", {"f1": "0.1*cos(2*pi*x)"}),
+        ("convexity", "tau_grid", {"c1": "1", "c2": "1"}),
+    ],
+)
+def test_non_finite_grid_is_config_error(tmp_path, capsys, command, key, extra, value):
+    data = torus_config(n_modes=4, **extra)
+    data[key] = [0.5, value]
+    config = write_config(tmp_path, data)
+    assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 2
+    record = only_error(capsys)
+    assert record["error"] == "ConfigError"
+    assert key in record["message"]
+
+
 def test_basis_larger_than_surface_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, torus_config(nx=8, basis_size=100))
     assert cli.main(["obstruction", "--config", config, "--out", str(tmp_path)]) == 2

@@ -32,8 +32,10 @@ from isospec.surface import (
     field_from_expression,
     field_from_values,
     fourier_fields,
+    icosphere_arrays,
     load_mesh,
     make_torus,
+    mesh_from_arrays,
 )
 
 
@@ -407,11 +409,13 @@ def test_metric_probe_constant_field(torus12):
     lam = report.lambda0
     np.testing.assert_allclose(report.lambda1, -c * lam, atol=1e-10)
     np.testing.assert_allclose(report.lambda2, c * c * lam, rtol=1e-9, atol=1e-12)
-    # constant fields have no off-diagonal elements, so the collapsed sum dies
-    assert np.abs(report.collapsed_lambda2).max() <= 1e-10
+    # constant fields have no off-diagonal elements, so the in-group term
+    # lambda1^2 / lambda0 = c^2 lambda0 carries the whole collapsed sum
+    np.testing.assert_allclose(
+        report.collapsed_lambda2, c * c * lam, rtol=1e-9, atol=1e-12
+    )
     assert report.collapsed_lambda2[0] == pytest.approx(0.0, abs=1e-14)
-    expected_gap = np.max(c * c * lam / (1.0 + lam**2))
-    assert report.collapsed_vs_generic_max == pytest.approx(expected_gap, rel=1e-6)
+    assert report.collapsed_vs_generic_max <= 1e-12
     # lambda(t) = lambda / (1 + c t): the quadratic prediction is cubic-exact
     assert np.max(report.prediction_deviations) <= 1e-6
     assert report.fd_step == pytest.approx(1e-2)
@@ -429,6 +433,23 @@ def test_metric_probe_cosine_field(torus12):
     assert np.abs(report.fd_lambda1 - report.lambda1).max() <= 1e-5 * (
         1.0 + np.abs(report.lambda0).max()
     )
+
+
+@pytest.mark.parametrize(
+    "kind, expr",
+    [("torus", "0.3*cos(2*pi*x)*sin(2*pi*y)"), ("ico", "0.3*x*y + 0.2*z")],
+)
+def test_metric_probe_collapsed_matches_generic(kind, expr):
+    # these fields have nonzero first-order corrections, so the collapsed
+    # sum needs its in-group term lambda1^2 / lambda0 to match
+    if kind == "torus":
+        surface = make_torus(24, 24, 1.0, 1.0)
+    else:
+        surface = mesh_from_arrays(*icosphere_arrays(3))
+    f = field_from_expression(surface, expr)
+    report = metric_side_probe(surface, f, 10, (1e-3, -1e-3))
+    assert np.abs(report.lambda1).max() >= 1e-3
+    assert report.collapsed_vs_generic_max <= 1e-12
 
 
 def test_metric_probe_smaller_steps_track_better(torus12):

@@ -7,7 +7,6 @@ from isospec.errors import (
     MeshParseError,
     MeshTopologyError,
 )
-from isospec.selftest import icosphere_arrays
 from isospec.surface import (
     ConformalPerturbation,
     PerturbationSide,
@@ -16,6 +15,7 @@ from isospec.surface import (
     field_from_expression,
     field_from_values,
     fourier_fields,
+    icosphere_arrays,
     load_mesh,
     make_torus,
     mesh_from_arrays,
