@@ -5,146 +5,31 @@ eigenvectors of conformally perturbed Laplacians to second order with a
 perturbed inner product, and runs the experiments built on top of the
 expansion: isospectral obstruction maps, convexity probes along metric
 segments, and Weyl area fits.
+
+The top level exports the names of the README example; everything else
+is imported from its submodule.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DegenerateTriangleError,
-    ExpressionError,
-    GridTooSmallError,
-    InsufficientModesError,
-    IsospecError,
-    MeshParseError,
-    MeshTopologyError,
-    ModeCountError,
-    NotApplicableError,
-    NumericalBreakdownError,
-    PositivityError,
-    RankDeficientBasisError,
-    SmallGapError,
-    SurfaceMismatchError,
-    SymmetryError,
-)
+from .assembly import assemble_base, conformal_operators
+from .eigen import solve
+from .perturb import compute_corrections
 from .surface import (
     ConformalPerturbation,
-    DiscreteSurface,
     PerturbationSide,
-    ScalarField,
-    SurfaceKind,
-    constant_field,
     field_from_expression,
-    field_from_values,
-    fourier_fields,
-    load_mesh,
     make_torus,
-    mesh_from_arrays,
-)
-from .assembly import (
-    GenericPerturbationOperators,
-    OperatorPair,
-    PerturbationOperators,
-    analytic_area,
-    assemble_base,
-    conformal_factor,
-    conformal_operators,
-    exact_perturbed_pair,
-    export_matrix_market,
-    generic_operators,
-)
-from .eigen import DEFAULT_TOL_DEG, SpectralData, degeneracy_partition, solve
-from .perturb import (
-    CorrectionReport,
-    adapt_degenerate_basis,
-    branch_permutation,
-    compute_corrections,
-    first_order,
-    first_order_vector,
-    matrix_elements,
-    predicted_spectrum,
-    qm_special_case,
-    second_order,
-)
-from .experiments import (
-    ConvexityProbeReport,
-    InductionReport,
-    MetricProbeReport,
-    ObstructionReport,
-    convexity_probe,
-    default_field_basis,
-    field_matrix_elements,
-    finite_difference_corrections,
-    induction_verifier,
-    metric_side_probe,
-    obstruction_map,
-    weyl_volume_estimate,
 )
 
 __all__ = [
     "__version__",
-    "ConfigError",
-    "DegenerateTriangleError",
-    "ExpressionError",
-    "GridTooSmallError",
-    "InsufficientModesError",
-    "IsospecError",
-    "MeshParseError",
-    "MeshTopologyError",
-    "ModeCountError",
-    "NotApplicableError",
-    "NumericalBreakdownError",
-    "PositivityError",
-    "RankDeficientBasisError",
-    "SmallGapError",
-    "SurfaceMismatchError",
-    "SymmetryError",
-    "ConformalPerturbation",
-    "DiscreteSurface",
-    "PerturbationSide",
-    "ScalarField",
-    "SurfaceKind",
-    "constant_field",
-    "field_from_expression",
-    "field_from_values",
-    "fourier_fields",
-    "load_mesh",
     "make_torus",
-    "mesh_from_arrays",
-    "GenericPerturbationOperators",
-    "OperatorPair",
-    "PerturbationOperators",
-    "analytic_area",
+    "field_from_expression",
     "assemble_base",
-    "conformal_factor",
     "conformal_operators",
-    "exact_perturbed_pair",
-    "export_matrix_market",
-    "generic_operators",
-    "DEFAULT_TOL_DEG",
-    "SpectralData",
-    "degeneracy_partition",
     "solve",
-    "CorrectionReport",
-    "adapt_degenerate_basis",
-    "branch_permutation",
     "compute_corrections",
-    "first_order",
-    "first_order_vector",
-    "matrix_elements",
-    "predicted_spectrum",
-    "qm_special_case",
-    "second_order",
-    "ConvexityProbeReport",
-    "InductionReport",
-    "MetricProbeReport",
-    "ObstructionReport",
-    "convexity_probe",
-    "default_field_basis",
-    "field_matrix_elements",
-    "finite_difference_corrections",
-    "induction_verifier",
-    "metric_side_probe",
-    "obstruction_map",
-    "weyl_volume_estimate",
+    "ConformalPerturbation",
+    "PerturbationSide",
 ]

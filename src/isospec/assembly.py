@@ -13,12 +13,9 @@ gives a cheap ground-truth family for validating perturbative predictions.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sparse
 
 from .errors import (
@@ -27,14 +24,7 @@ from .errors import (
     PositivityError,
     SurfaceMismatchError,
 )
-from .surface import (
-    ConformalPerturbation,
-    DiscreteSurface,
-    PerturbationSide,
-    SurfaceKind,
-)
-
-logger = logging.getLogger(__name__)
+from .surface import DiscreteSurface, PerturbationSide, SurfaceKind
 
 
 @dataclass(frozen=True)
@@ -71,7 +61,7 @@ class OperatorPair:
             return out / self.mass
         return out / self.mass[:, None]
 
-    def validate(self, check_area=True):
+    def validate(self):
         """Check symmetry, kernel, and mass positivity invariants."""
         K = self.stiffness
         if K.shape != (self.node_count, self.node_count):
@@ -87,7 +77,7 @@ class OperatorPair:
             )
         if np.any(self.mass <= 0.0):
             raise NumericalBreakdownError("mass diagonal has nonpositive entries")
-        if check_area and self.surface is not None:
+        if self.surface is not None:
             area = analytic_area(self.surface)
             if abs(self.total_mass - area) > 1e-10 * area:
                 raise NumericalBreakdownError(
@@ -131,42 +121,6 @@ class PerturbationOperators:
         if v.ndim == 1:
             return self.pair.apply_laplacian(self.h1_multiplier * v)
         return self.pair.apply_laplacian(self.h1_multiplier[:, None] * v)
-
-
-@dataclass(frozen=True)
-class GenericPerturbationOperators:
-    """Dense synthetic H1/H2 with optional diagonal G terms.
-
-    Same protocol as PerturbationOperators; used for perturbation theory
-    outside the conformal family (e.g. textbook operator perturbations).
-    """
-
-    pair: OperatorPair
-    h1: np.ndarray = field(repr=False)
-    h2: np.ndarray | None = field(default=None, repr=False)
-    g1: np.ndarray = field(default=None, repr=False)
-    g2: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        n = self.pair.node_count
-        if self.g1 is None:
-            object.__setattr__(self, "g1", np.zeros(n))
-        if self.g2 is None:
-            object.__setattr__(self, "g2", np.zeros(n))
-
-    def apply_h1(self, v):
-        return self.h1 @ v
-
-    def apply_h2(self, v):
-        if self.h2 is None:
-            return np.zeros_like(v)
-        return self.h2 @ v
-
-    def apply_h1_adjoint(self, v):
-        m = self.pair.mass
-        if v.ndim == 1:
-            return (self.h1.T @ (m * v)) / m
-        return (self.h1.T @ (m[:, None] * v)) / m[:, None]
 
 
 def analytic_area(surface):
@@ -302,20 +256,17 @@ def conformal_factor(pert, t):
         c = 1.0 + t * f1 + t * t * pert.f2_values()
     else:
         denom = 1.0 + t * f1
-        if np.any(denom <= 0.0):
-            node = int(np.flatnonzero(denom <= 0.0)[0])
-            raise PositivityError(
-                f"metric factor 1 + t*f1 nonpositive at node {node} for t={t!r}",
-                node_index=node,
-            )
+        check_positive(denom, f"metric factor 1 + t*f1 at t={t!r}")
         c = 1.0 / denom
-    if np.any(c <= 0.0):
-        node = int(np.flatnonzero(c <= 0.0)[0])
-        raise PositivityError(
-            f"conformal factor nonpositive at node {node} for t={t!r}",
-            node_index=node,
-        )
+    check_positive(c, f"conformal factor at t={t!r}")
     return c
+
+
+def check_positive(values, label):
+    """Raise PositivityError naming the first node where values <= 0."""
+    if np.any(values <= 0.0):
+        node = int(np.flatnonzero(values <= 0.0)[0])
+        raise PositivityError(f"{label} nonpositive at node {node}", node_index=node)
 
 
 def exact_perturbed_pair(pair, pert, t):
@@ -342,25 +293,3 @@ def conformal_pair(pair, c):
     return OperatorPair(
         surface=pair.surface, stiffness=pair.stiffness, mass=pair.mass / c
     )
-
-
-def generic_operators(pair, h1, h2=None, g1=None, g2=None):
-    """Wrap dense synthetic operators in the perturbation protocol."""
-    h1 = np.asarray(h1, dtype=float)
-    if h1.shape != (pair.node_count, pair.node_count):
-        raise ValueError("h1 shape does not match the operator pair")
-    if h2 is not None:
-        h2 = np.asarray(h2, dtype=float)
-    return GenericPerturbationOperators(pair=pair, h1=h1, h2=h2, g1=g1, g2=g2)
-
-
-def export_matrix_market(pair, directory, stem):
-    """Write K and M0 in Matrix Market format; returns the two paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    k_path = directory / f"{stem}_stiffness.mtx"
-    m_path = directory / f"{stem}_mass.mtx"
-    scipy.io.mmwrite(str(k_path), pair.stiffness.tocoo())
-    scipy.io.mmwrite(str(m_path), sparse.diags(pair.mass).tocoo())
-    logger.info("exported operators to %s and %s", k_path, m_path)
-    return k_path, m_path

@@ -34,6 +34,7 @@ from .errors import (
     ModeCountError,
 )
 from .experiments import (
+    DEFAULT_KERNEL_TOL,
     convexity_probe,
     default_field_basis,
     metric_side_probe,
@@ -98,7 +99,7 @@ class ExperimentConfig:
     c1: str | None = None
     c2: str | None = None
     basis_size: int = 9
-    kernel_tol: float | None = None
+    kernel_tol: float = DEFAULT_KERNEL_TOL
     tau_grid: tuple = ()
     t_grid: tuple = ()
     raw: dict = field(default_factory=dict)
@@ -118,17 +119,27 @@ def _expect(mapping, key, kinds, context, required=False, default=None):
             raise ConfigError(f"{context}: missing required key '{key}'")
         return default
     value = mapping[key]
-    if kinds is bool:
-        ok = isinstance(value, bool)
-    elif kinds is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif kinds is int:
+    if kinds is float:
+        if not _finite_number(value):
+            raise ConfigError(f"{context}: key '{key}' must be a finite number")
+        return value
+    if kinds is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
         ok = isinstance(value, kinds)
     if not ok:
         raise ConfigError(f"{context}: key '{key}' has the wrong type")
     return value
+
+
+def _finite_number(value):
+    """Whether a JSON value is a number (not a bool) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _reject_unknown(mapping, allowed, context):
@@ -167,10 +178,8 @@ def _grid_values(data, key, context):
         raise ConfigError(f"{context}: '{key}' must be a non-empty list")
     values = []
     for entry in raw:
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ConfigError(f"{context}: '{key}' entries must be numbers")
-        if not math.isfinite(entry):
-            raise ConfigError(f"{context}: '{key}' entries must be finite")
+        if not _finite_number(entry):
+            raise ConfigError(f"{context}: '{key}' entries must be finite numbers")
         values.append(float(entry))
     return tuple(values)
 
@@ -229,7 +238,9 @@ def load_config(command, args):
         c1=_expect(data, "c1", str, command, required=command == "convexity"),
         c2=_expect(data, "c2", str, command, required=command == "convexity"),
         basis_size=_expect(data, "basis_size", int, command, default=9),
-        kernel_tol=_expect(data, "kernel_tol", float, command),
+        kernel_tol=_expect(
+            data, "kernel_tol", float, command, default=DEFAULT_KERNEL_TOL
+        ),
         tau_grid=_grid_values(data, "tau_grid", command)
         or (0.0, 0.25, 0.5, 0.75, 1.0),
         t_grid=_grid_values(data, "t_grid", command) or (1e-3, -1e-3, 5e-3),
@@ -237,7 +248,7 @@ def load_config(command, args):
     )
     if config.basis_size < 1:
         raise ConfigError(f"{command}: basis_size must be at least 1")
-    if config.kernel_tol is not None and config.kernel_tol <= 0:
+    if config.kernel_tol <= 0:
         raise ConfigError(f"{command}: kernel_tol must be positive")
     if not all(0.0 <= tau <= 1.0 for tau in config.tau_grid):
         raise ConfigError(f"{command}: tau_grid entries must lie in [0, 1]")
@@ -326,18 +337,31 @@ def run_obstruction(config):
         n = surface.node_count
         raise ConfigError(f"obstruction: basis_size exceeds the {n} surface nodes")
     pair = assemble_base(surface)
-    spectral = _solve(config, pair, config.n_modes)
+    spectral, n_window = _solve_window(config, pair)
     basis = default_field_basis(surface, config.basis_size, spectral=spectral)
-    if config.kernel_tol is None:
-        report = obstruction_map(spectral, basis, config.n_modes)
-    else:
-        report = obstruction_map(
-            spectral, basis, config.n_modes, kernel_tol=config.kernel_tol
-        )
+    report = obstruction_map(spectral, basis, n_window, kernel_tol=config.kernel_tol)
     _write_json(
         os.path.join(config.out_dir, "obstruction.json"), report.to_json_dict()
     )
     return ["obstruction.json"]
+
+
+def _solve_window(config, pair):
+    """(spectrum, n_modes widened to the end of the degeneracy group it cuts).
+
+    The obstruction map is basis-independent only over complete groups,
+    and a group can close only below the last solved mode, so the solve
+    asks for one mode more than the window and doubles until it sees the
+    group close or holds every mode.
+    """
+    n = pair.node_count
+    k = min(config.n_modes + 1, n)
+    while True:
+        spectral = _solve(config, pair, k)
+        n_window = eigen.complete_group_count(spectral.degeneracy_groups, config.n_modes)
+        if n_window < k or k == n:
+            return spectral, n_window
+        k = min(2 * k, n)
 
 
 def run_convexity(config):

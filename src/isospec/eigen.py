@@ -90,12 +90,6 @@ class SpectralData:
                 ids[m] = gid
         return ids
 
-    def group_of(self, n):
-        for gid, members in enumerate(self.degeneracy_groups):
-            if n in members:
-                return gid
-        raise IndexError(f"mode {n} outside computed range")
-
     def export_csv(self, path):
         """One row per mode: index, eigenvalue, degeneracy group id."""
         ids = self.group_ids()

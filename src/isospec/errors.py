@@ -54,16 +54,8 @@ class ModeCountError(IsospecError):
     """Mismatched number of modes between spectral data and operators."""
 
 
-class SymmetryError(IsospecError):
-    """An operator required to be symmetric (in the mass inner product) is not."""
-
-
 class RankDeficientBasisError(IsospecError):
     """Field basis for the obstruction map is numerically rank deficient."""
-
-
-class NotApplicableError(IsospecError):
-    """Premises of the isospectrality induction do not hold for this input."""
 
 
 class InsufficientModesError(IsospecError):

@@ -1,16 +1,15 @@
 """Experiments on isospectral rigidity of conformal families.
 
-Three numerical embodiments of continuum statements, stated as such:
+Numerical embodiments of continuum statements, stated as such:
 
 * The obstruction map sends a conformal factor to the matrix of its
   eigenfunction elements.  A trivial kernel over a finite field space is
   the discrete shadow of "only f = 0 perturbs isospectrally to first
   order"; it never claims the continuum result.
-* The induction verifier replays the elimination argument: once the first
-  two eigenvalue corrections vanish, the divided second-order sums are
-  sign-definite row by row and force the upper matrix elements to zero.
 * The convexity probes blend two conformal factors along a segment and
   quantify how the interior spectra depart from the endpoint spectrum.
+* The metric-side probe checks a collapsed second-order formula against
+  the generic corrections and against exact eigensolves.
 
 A Weyl counting fit (area from eigenvalue growth) rounds out the toolbox.
 """
@@ -27,6 +26,7 @@ import numpy as np
 from . import eigen
 from .assembly import (
     assemble_base,
+    check_positive,
     conformal_operators,
     conformal_pair,
     exact_perturbed_pair,
@@ -34,14 +34,11 @@ from .assembly import (
 from .errors import (
     InsufficientModesError,
     ModeCountError,
-    NotApplicableError,
-    PositivityError,
     RankDeficientBasisError,
     SurfaceMismatchError,
 )
 from .perturb import (
     _cross_group_mask,
-    _divided,
     branch_permutation,
     compute_corrections,
     predicted_spectrum,
@@ -77,39 +74,6 @@ class ObstructionReport:
             "singular_values": [float(x) for x in self.singular_values],
             "kernel_dim": int(self.kernel_dim),
             "kernel_tol": float(self.kernel_tol),
-        }
-
-
-@dataclass(frozen=True)
-class InductionReport:
-    """Outcome of replaying the elimination argument on one perturbation.
-
-    rows holds the certified mode indices (nonconstant modes, ascending).
-    row_maxima are the largest actual upper matrix elements |<psi_i, f psi_n>|
-    per row; certified_bounds are the bounds the vanishing second-order
-    corrections force on them through the sign-definite partial sums.
-    """
-
-    passed: bool
-    tol: float
-    rows: np.ndarray = field(repr=False)
-    row_maxima: np.ndarray = field(repr=False)
-    certified_bounds: np.ndarray = field(repr=False)
-    inconsistent: bool = False
-    lambda1_scaled_max: float = 0.0
-    lambda2_scaled_max: float = 0.0
-
-    def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "passed": bool(self.passed),
-            "tol": float(self.tol),
-            "rows": [int(x) for x in self.rows],
-            "row_maxima": [float(x) for x in self.row_maxima],
-            "certified_bounds": [float(x) for x in self.certified_bounds],
-            "inconsistent": bool(self.inconsistent),
-            "lambda1_scaled_max": float(self.lambda1_scaled_max),
-            "lambda2_scaled_max": float(self.lambda2_scaled_max),
         }
 
 
@@ -254,104 +218,6 @@ def obstruction_map(spectral, basis_fields, n_modes, kernel_tol=DEFAULT_KERNEL_T
     )
 
 
-def induction_verifier(
-    spectral, ops, tol, lambda1=None, lambda2=None, elements=None
-):
-    """Replay the elimination argument for a conformal perturbation.
-
-    Premise: the first two eigenvalue corrections vanish (within tol at
-    the eigenvalue scale); otherwise NotApplicableError.  The replay walks
-    the nonconstant modes in ascending order.  In row n every divided term
-    with lambda_i > lambda_n has the same sign and the terms against the
-    zero eigenspace carry weight zero, so a vanishing second-order
-    correction (minus the contribution of rows already eliminated) bounds
-    each upper element; the certified bound per row is reported alongside
-    the actual row maximum.
-
-    lambda1, lambda2, elements may be injected to audit the verifier
-    itself; injected corrections inconsistent with the recomputed divided
-    sums set the inconsistency flag and fail the verdict.
-    """
-    lam = spectral.eigenvalues
-    n_modes = spectral.n_modes
-    if elements is None:
-        elements = field_matrix_elements(spectral, ops.h1_multiplier)
-    else:
-        elements = np.asarray(elements, dtype=float)
-    group_ids = spectral.group_ids()
-
-    keep = _cross_group_mask(spectral.degeneracy_groups, n_modes)
-    weights = lam[:, None] * lam[None, :]
-    terms = _divided(weights * elements * elements, lam, keep)
-
-    if lambda1 is None:
-        lambda1 = lam * np.diag(elements)
-    else:
-        lambda1 = np.asarray(lambda1, dtype=float)
-    model_lambda2 = terms.sum(axis=0)
-    if lambda2 is None:
-        lambda2 = model_lambda2
-    else:
-        lambda2 = np.asarray(lambda2, dtype=float)
-
-    scale1 = 1.0 + np.abs(lam)
-    scale2 = (1.0 + np.abs(lam)) ** 2
-    l1_max = float(np.max(np.abs(lambda1) / scale1))
-    l2_max = float(np.max(np.abs(lambda2) / scale2))
-    if l1_max > tol:
-        raise NotApplicableError(
-            f"first-order corrections do not vanish (scaled max {l1_max:.3e})"
-        )
-    if l2_max > tol:
-        raise NotApplicableError(
-            f"second-order corrections do not vanish (scaled max {l2_max:.3e})"
-        )
-    inconsistent = bool(
-        np.any(np.abs(model_lambda2 - lambda2) > 0.01 * tol * scale2)
-    )
-
-    zero_level = 1e-8 * (1.0 + abs(float(lam[-1])))
-    rows, row_maxima, bounds = [], [], []
-    for n in range(n_modes):
-        if lam[n] <= zero_level:
-            continue
-        upper = np.flatnonzero((group_ids > group_ids[n]) & (lam > lam[n]))
-        if upper.size == 0:
-            continue
-        lower = np.flatnonzero(
-            (group_ids < group_ids[n]) & (lam > zero_level) & (lam < lam[n])
-        )
-        lower_contrib = float(terms[lower, n].sum()) if lower.size else 0.0
-        residual = abs(float(lambda2[n]) - lower_contrib) + tol * float(scale2[n])
-        factor = float(np.max((lam[upper] - lam[n]) / (lam[upper] * lam[n])))
-        rows.append(n)
-        row_maxima.append(float(np.abs(elements[upper, n]).max()))
-        bounds.append(float(np.sqrt(residual * factor)))
-
-    rows = np.array(rows, dtype=np.int64)
-    row_maxima = np.array(row_maxima)
-    bounds = np.array(bounds)
-    passed = (not inconsistent) and bool(np.all(row_maxima <= tol))
-    return InductionReport(
-        passed=passed,
-        tol=tol,
-        rows=rows,
-        row_maxima=row_maxima,
-        certified_bounds=bounds,
-        inconsistent=inconsistent,
-        lambda1_scaled_max=l1_max,
-        lambda2_scaled_max=l2_max,
-    )
-
-
-def _positive_factor(values, label):
-    if np.any(values <= 0.0):
-        node = int(np.flatnonzero(values <= 0.0)[0])
-        raise PositivityError(
-            f"{label} nonpositive at node {node}", node_index=node
-        )
-
-
 def convexity_probe(surface, c1, c2, n_modes, tau_grid, tol_deg=eigen.DEFAULT_TOL_DEG):
     """Spectra along the inverse-metric segment tau*c1 + (1-tau)*c2.
 
@@ -363,8 +229,8 @@ def convexity_probe(surface, c1, c2, n_modes, tau_grid, tol_deg=eigen.DEFAULT_TO
     """
     if c1.surface is not surface or c2.surface is not surface:
         raise SurfaceMismatchError("conformal factors on a different surface")
-    _positive_factor(c1.values, "endpoint factor c1")
-    _positive_factor(c2.values, "endpoint factor c2")
+    check_positive(c1.values, "endpoint factor c1")
+    check_positive(c2.values, "endpoint factor c2")
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0 or np.any(taus < 0.0) or np.any(taus > 1.0):
         raise ValueError("tau_grid must be nonempty within [0, 1]")
@@ -374,7 +240,7 @@ def convexity_probe(surface, c1, c2, n_modes, tau_grid, tol_deg=eigen.DEFAULT_TO
     @functools.cache
     def blended_spectrum(tau):
         c = tau * c1.values + (1.0 - tau) * c2.values
-        _positive_factor(c, f"blended factor at tau={tau!r}")
+        check_positive(c, f"blended factor at tau={tau!r}")
         blend = conformal_pair(pair, c)
         return eigen.solve(blend, n_modes, tol_deg).eigenvalues
 

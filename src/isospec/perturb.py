@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .eigen import SpectralData, _fix_signs
-from .errors import ModeCountError, NumericalBreakdownError, SmallGapError, SymmetryError
+from .errors import NumericalBreakdownError, SmallGapError
 
 logger = logging.getLogger(__name__)
 
@@ -82,21 +82,17 @@ def _elements(psi, ops):
     return psi.T @ (ops.pair.mass[:, None] * ops.apply_h1(psi))
 
 
-def _cross_group_mask(groups, n_modes, n_sum=None):
+def _cross_group_mask(groups, n_modes):
     """keep[i, n]: whether term i enters mode n's divided sums.
 
-    Excludes every pair inside one degeneracy group (their numerators
+    Excludes every pair inside one degeneracy group: their numerators
     vanish in the adapted basis, so the exclusion is structural, not
-    threshold-based) and, under truncation, every row i >= n_sum.
+    threshold-based.
     """
     keep = np.ones((n_modes, n_modes), dtype=bool)
     for members in groups:
         mg = np.array(members)
         keep[np.ix_(mg, mg)] = False
-    if n_sum is not None:
-        if n_sum < 1:
-            raise ModeCountError("truncation_modes must be at least 1")
-        keep[n_sum:, :] = False
     return keep
 
 
@@ -278,117 +274,47 @@ def first_order(spectral, ops):
     return np.einsum("in,in->n", psi, mass[:, None] * ops.apply_h1(psi))
 
 
-def first_order_vector(spectral, ops, n, truncation_modes=None):
-    """Expansion coefficients of the first-order eigenvector correction.
+def second_order(spectral, ops):
+    """lambda2 per mode from the divided sums over the computed modes.
 
-    c_i = E[i, n] / (lambda_n - lambda_i) outside mode n's degeneracy
-    group, c_n = -1/2 <psi_n, G1 psi_n>, zero for other in-group indices
-    (their numerators vanish in the adapted basis).  Entries beyond the
-    truncation are zero.
+    The sum for mode n runs over computed modes outside its degeneracy
+    group; compute_corrections takes lambda2 from the same helpers, so
+    both agree bit for bit.
     """
-    n_modes = spectral.n_modes
-    if not 0 <= n < n_modes:
-        raise ModeCountError(f"mode {n} outside computed range")
-    n_sum = n_modes if truncation_modes is None else min(truncation_modes, n_modes)
-    psi = spectral.eigenvectors
-    mass = ops.pair.mass
-    lam = spectral.eigenvalues
-    col = psi.T @ (mass * ops.apply_h1(psi[:, n]))
-    group = np.array(spectral.degeneracy_groups[spectral.group_of(n)])
-    out = np.ones(n_modes, dtype=bool)
-    out[group] = False
-    out[n_sum:] = False
-    gaps = lam[n] - lam
-    tight = out & (np.abs(gaps) < GAP_GUARD * (1.0 + abs(lam[n])))
-    if np.any(tight):
-        other = int(np.flatnonzero(tight)[0])
-        raise SmallGapError(
-            f"cross-group gap below guard between modes {n} and {other}; "
-            "increase tol_deg"
-        )
-    coeffs = np.zeros(n_modes)
-    coeffs[out] = col[out] / gaps[out]
-    coeffs[n] = -0.5 * float(psi[:, n] @ (mass * (ops.g1 * psi[:, n])))
-    return coeffs
-
-
-def second_order(spectral, ops, truncation_modes=None):
-    """lambda2 per mode at the given truncation.
-
-    The divided sum runs over computed modes outside each mode's degeneracy
-    group, truncated to the first truncation_modes rows; compute_corrections
-    takes lambda2 from the same helpers, so both agree bit for bit.
-    """
-    n_modes = spectral.n_modes
-    n_sum = n_modes if truncation_modes is None else min(truncation_modes, n_modes)
-    keep = _cross_group_mask(spectral.degeneracy_groups, n_modes, n_sum)
+    keep = _cross_group_mask(spectral.degeneracy_groups, spectral.n_modes)
     return _lambda2(spectral, ops, matrix_elements(spectral, ops), keep)[0]
 
 
-def qm_special_case(spectral, h1):
-    """Textbook corrections for an M0-symmetric operator perturbation.
-
-    Requires H1 self-adjoint in the M0 inner product.  Cross-checks the
-    fixed-inner-product formulas against the general machinery run with
-    G1 = G2 = 0, H2 = 0, and returns (lambda1, lambda2).
-    """
-    from .assembly import generic_operators
-
-    pair = spectral.pair
-    h1 = np.asarray(h1, dtype=float)
-    m_h1 = pair.mass[:, None] * h1
-    asym = np.abs(m_h1 - m_h1.T).max()
-    if asym > 1e-10 * max(np.abs(m_h1).max(), 1.0):
-        raise SymmetryError(f"H1 is not M0-symmetric: asymmetry {asym:.3e}")
-    ops = generic_operators(pair, h1)
-    adapted = adapt_degenerate_basis(spectral, ops)
-    lambda1 = first_order(adapted, ops)
-    lambda2 = second_order(adapted, ops)
-
-    # independent arithmetic path through the squared-element formula
-    elements = matrix_elements(adapted, ops)
-    keep = _cross_group_mask(adapted.degeneracy_groups, adapted.n_modes)
-    lambda2_explicit = _divided(elements**2, adapted.eigenvalues, keep).sum(axis=0)
-    scale1 = 1.0 + np.abs(lambda1)
-    scale2 = 1.0 + np.abs(lambda2)
-    if np.any(np.abs(np.diag(elements) - lambda1) > 1e-12 * scale1) or np.any(
-        np.abs(lambda2_explicit - lambda2) > 1e-12 * scale2
-    ):
-        raise NumericalBreakdownError(
-            "squared-element formulas disagree with the general machinery"
-        )
-    return lambda1, lambda2
-
-
-def compute_corrections(spectral, ops, truncation_modes=None):
+def compute_corrections(spectral, ops):
     """Adapt the basis and assemble the full correction report.
 
     One element matrix E in the adapted basis and one cross-group mask
     give lambda2 (as second_order does), the psi1 coefficients
-    E[i, n] / (lambda_n - lambda_i) and the truncation tails.  The tail
-    estimate bounds the omitted terms through the completeness identity
-    sum_i E[i,n] E[n,i] = <H1.adj psi_n, H1 psi_n>, which needs no full
-    basis: the retained partial sum is subtracted from the right side.
+    E[i, n] / (lambda_n - lambda_i) and the truncation tails.  The sums
+    run over the computed modes; when those are not the full basis, the
+    tail estimate bounds the omitted terms through the completeness
+    identity sum_i E[i,n] E[n,i] = <H1.adj psi_n, H1 psi_n>, which needs
+    no full basis: the computed partial sum is subtracted from the right
+    side.
     """
     adapted = adapt_degenerate_basis(spectral, ops)
     n_modes = adapted.n_modes
-    n_sum = n_modes if truncation_modes is None else min(truncation_modes, n_modes)
     lam = adapted.eigenvalues
     psi = adapted.eigenvectors
     mass = ops.pair.mass
 
     lambda1 = first_order(adapted, ops)
-    keep = _cross_group_mask(adapted.degeneracy_groups, n_modes, n_sum)
+    keep = _cross_group_mask(adapted.degeneracy_groups, n_modes)
     elements = matrix_elements(adapted, ops)
     lambda2, sum_term = _lambda2(adapted, ops, elements, keep)
 
     total = np.einsum(
         "in,in->n", ops.apply_h1_adjoint(psi), mass[:, None] * ops.apply_h1(psi)
     )
-    partial = (elements[:n_sum, :] * elements.T[:n_sum, :]).sum(axis=0)
+    partial = (elements * elements.T).sum(axis=0)
     tail_raw = np.maximum(total - partial, 0.0)
     tail_raw[tail_raw < 1e-10 * (1.0 + np.abs(total))] = 0.0
-    gap_edge = lam[n_sum - 1] - lam
+    gap_edge = lam[-1] - lam
     tails = np.full(n_modes, np.inf)
     np.divide(tail_raw, gap_edge, out=tails, where=gap_edge > 0.0)
     tails[tail_raw == 0.0] = 0.0
@@ -413,7 +339,7 @@ def compute_corrections(spectral, ops, truncation_modes=None):
         basis_rotations=adapted.basis_rotations,
         degeneracy_groups=adapted.degeneracy_groups,
         tol_deg=adapted.tol_deg,
-        truncation_modes=n_sum,
+        truncation_modes=n_modes,
         tail_estimates=tails,
         truncation_warnings=warn,
     )

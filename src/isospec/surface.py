@@ -9,6 +9,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -184,6 +185,16 @@ def make_torus(nx, ny, lx, ly):
         )
     if not (lx > 0 and ly > 0):
         raise GridTooSmallError(f"torus periods must be positive, got {lx}, {ly}")
+    # 1/h^2 = 0 leaves no stiffness; the spectrum of the 5-point stencil
+    # reaches 4/hx^2 + 4/hy^2, which the solvers need finite
+    inverse_squares = [
+        1.0 / (h * h) if h * h > 0.0 else math.inf for h in (lx / nx, ly / ny)
+    ]
+    if min(inverse_squares) == 0.0 or not math.isfinite(4.0 * sum(inverse_squares)):
+        raise GridTooSmallError(
+            f"torus periods {lx}, {ly} give 1/h^2 = 0 or a non-finite "
+            "spectral bound 4/hx^2 + 4/hy^2"
+        )
     surf = DiscreteSurface(
         kind=SurfaceKind.TORUS_GRID,
         node_count=nx * ny,
@@ -279,11 +290,6 @@ def field_from_expression(surface, text):
     """
     values = expressions.evaluate(text, surface.node_coordinates())
     return ScalarField(surface, values)
-
-
-def field_from_values(surface, values):
-    """Wrap raw nodal values as a ScalarField."""
-    return ScalarField(surface, np.asarray(values, dtype=float))
 
 
 def constant_field(surface, value):

@@ -35,8 +35,8 @@ from isospec.perturb import (
 from isospec.surface import (
     ConformalPerturbation,
     PerturbationSide,
+    ScalarField,
     field_from_expression,
-    field_from_values,
     fourier_fields,
     load_mesh,
     make_torus,
@@ -58,7 +58,7 @@ def smooth_random_field(surface, seed, count=26, amplitude=1.0):
     for c, f in zip(coeffs, fields):
         values += c * f.values
     values *= amplitude / np.abs(values).max()
-    return field_from_values(surface, values)
+    return ScalarField(surface, values)
 
 
 def scaled_gap(a, b):
@@ -319,7 +319,7 @@ def test_criterion_07_no_isospectral_segments(request):
             for c, f in zip(coeffs, fields):
                 bump += c * f.values
             bump /= np.abs(bump).max()
-            return field_from_values(torus, np.exp(0.3 * bump))
+            return ScalarField(torus, np.exp(0.3 * bump))
 
         for _ in range(20):
             c1 = random_factor()
@@ -330,7 +330,7 @@ def test_criterion_07_no_isospectral_segments(request):
             assert not (flat_ends and flat_inside)
 
         same = random_factor()
-        twin = field_from_values(torus, same.values.copy())
+        twin = ScalarField(torus, same.values.copy())
         rep = convexity_probe(torus, same, twin, 6, taus)
         assert rep.spectral_distances.max() <= 1e-12
         assert time.monotonic() - started <= 300.0
@@ -367,7 +367,7 @@ def test_criterion_08_vanishing_diagonal_identity(request):
         assert null_dim >= 1
         values = fmat @ vt[-1]
         values /= np.abs(values).max()
-        f = field_from_values(torus, values)
+        f = ScalarField(torus, values)
 
         elements = field_matrix_elements(spectral, values)
         for members in spectral.degeneracy_groups:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 
 from isospec import eigen
@@ -10,8 +9,6 @@ from isospec.assembly import (
     conformal_factor,
     conformal_operators,
     exact_perturbed_pair,
-    export_matrix_market,
-    generic_operators,
 )
 from isospec.errors import (
     DegenerateTriangleError,
@@ -28,6 +25,7 @@ from isospec.surface import (
     make_torus,
     mesh_from_arrays,
 )
+from reference import generic_operators
 
 
 def test_pair_validates(pair16):
@@ -237,11 +235,3 @@ def test_perturbation_adjoint_identity(pair16, rng):
     lhs = w @ (pair16.mass * ops.apply_h1(v))
     rhs = v @ (pair16.mass * ops.apply_h1_adjoint(w))
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
-
-
-def test_matrix_market_round_trip(pair16, tmp_path):
-    k_path, m_path = export_matrix_market(pair16, tmp_path, "torus")
-    k = scipy.io.mmread(k_path).tocsr()
-    m = scipy.io.mmread(m_path).tocsr()
-    assert np.allclose((k - pair16.stiffness).toarray(), 0.0, atol=1e-15)
-    assert np.allclose(m.diagonal(), pair16.mass, atol=1e-15)

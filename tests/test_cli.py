@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -73,9 +74,34 @@ def test_obstruction_end_to_end(tmp_path):
     assert cli.main(["obstruction", "--config", config, "--out", str(out)]) == 0
     data = json.loads((out / "obstruction.json").read_text())
     assert data["field_dim"] == 5
-    assert data["n_modes"] == 8
+    # eight requested modes end inside the (+-1, +-1) level, modes 5-8; the
+    # window is widened to the end of that degeneracy group
+    assert data["n_modes"] == 9
     assert data["kernel_dim"] == 0
     assert len(data["singular_values"]) == 5
+
+
+def test_obstruction_window_is_solver_independent(tmp_path, monkeypatch, caplog, icosphere2_path):
+    # ten modes on icosphere 2 (levels of 1, 3, 5 and 4 modes) cut the fourth
+    # level; over the widened window of 13 modes the dense and the sparse
+    # solver span the same eigenspaces, so the singular values agree
+    config = write_config(
+        tmp_path, {"surface": {"kind": "mesh", "path": str(icosphere2_path)}, "n_modes": 10}
+    )
+    caplog.set_level(logging.DEBUG, logger="isospec.eigen")
+    runs = []
+    for name in ("dense", "sparse"):
+        if name == "sparse":
+            monkeypatch.setattr(eigen, "SPARSE_MIN_NODES", 100)
+            monkeypatch.setattr(eigen, "SPARSE_MAX_MODE_FRACTION", 0.5)
+        caplog.clear()
+        assert cli.main(["obstruction", "--config", config, "--out", str(tmp_path / name)]) == 0
+        assert f"({name}" in caplog.text
+        runs.append(json.loads((tmp_path / name / "obstruction.json").read_text()))
+    assert runs[0]["n_modes"] == runs[1]["n_modes"] == 13
+    np.testing.assert_allclose(
+        runs[0]["singular_values"], runs[1]["singular_values"], rtol=0.0, atol=1e-12
+    )
 
 
 def test_convexity_end_to_end(tmp_path):
@@ -269,6 +295,26 @@ def test_non_finite_grid_is_config_error(tmp_path, capsys, command, key, extra, 
     record = only_error(capsys)
     assert record["error"] == "ConfigError"
     assert key in record["message"]
+
+
+@pytest.mark.parametrize(
+    "command, surface, extra, error",
+    [
+        ("obstruction", {}, {"kernel_tol": float("nan")}, "ConfigError"),
+        ("spectrum", {"lx": float("inf")}, {}, "ConfigError"),
+        ("spectrum", {"ly": 1e308}, {}, "GridTooSmallError"),
+        ("spectrum", {"ly": 1e-300}, {}, "GridTooSmallError"),
+        # 1/h^2 is finite, but the top of the spectrum, 4/h^2, is not
+        ("spectrum", {"ly": 1.5e-153}, {}, "GridTooSmallError"),
+    ],
+    ids=["kernel_tol-nan", "lx-inf", "ly-huge", "ly-tiny", "ly-spectrum-overflow"],
+)
+def test_extreme_float_is_config_error(tmp_path, capsys, command, surface, extra, error):
+    data = torus_config(n_modes=4, **extra)
+    data["surface"].update(surface)
+    config = write_config(tmp_path, data)
+    assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 2
+    assert only_error(capsys)["error"] == error
 
 
 def test_basis_larger_than_surface_is_config_error(tmp_path, capsys):

@@ -9,7 +9,6 @@ from isospec.assembly import OperatorPair, assemble_base
 from isospec.errors import (
     InsufficientModesError,
     ModeCountError,
-    NotApplicableError,
     PositivityError,
     RankDeficientBasisError,
     SurfaceMismatchError,
@@ -19,7 +18,6 @@ from isospec.experiments import (
     default_field_basis,
     field_matrix_elements,
     finite_difference_corrections,
-    induction_verifier,
     metric_side_probe,
     obstruction_map,
     weyl_volume_estimate,
@@ -28,15 +26,16 @@ from isospec.perturb import compute_corrections
 from isospec.surface import (
     ConformalPerturbation,
     PerturbationSide,
+    ScalarField,
     constant_field,
     field_from_expression,
-    field_from_values,
     fourier_fields,
     icosphere_arrays,
     load_mesh,
     make_torus,
     mesh_from_arrays,
 )
+from reference import NotApplicableError, induction_verifier
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +351,7 @@ def test_convexity_rejects_bad_grid(torus12):
 def test_convexity_rejects_nonpositive_endpoint(torus12):
     values = np.ones(torus12.node_count)
     values[7] = -0.5
-    bad = field_from_values(torus12, values)
+    bad = ScalarField(torus12, values)
     good = constant_field(torus12, 1.0)
     with pytest.raises(PositivityError) as info:
         convexity_probe(torus12, bad, good, 6, (0.0, 1.0))

@@ -9,19 +9,16 @@ from isospec.assembly import (
     assemble_base,
     conformal_operators,
     exact_perturbed_pair,
-    generic_operators,
 )
-from isospec.errors import SmallGapError, SymmetryError
+from isospec.errors import SmallGapError
 from isospec.perturb import (
     CorrectionReport,
     adapt_degenerate_basis,
     branch_permutation,
     compute_corrections,
     first_order,
-    first_order_vector,
     matrix_elements,
     predicted_spectrum,
-    qm_special_case,
     second_order,
 )
 from isospec.surface import (
@@ -31,6 +28,7 @@ from isospec.surface import (
     field_from_expression,
     make_torus,
 )
+from reference import SymmetryError, generic_operators, qm_special_case
 
 
 def conformal_setup(nx, expr, n_modes=None, side=PerturbationSide.INVERSE_METRIC, f2=None):
@@ -155,8 +153,8 @@ def test_conformal_first_order_specialization():
 def test_first_order_vector_zero_perturbation():
     spectral = synthetic_spectral([0.0, 1.0, 2.0], [(0,), (1,), (2,)])
     ops = generic_operators(spectral.pair, np.zeros((3, 3)))
-    coeffs = first_order_vector(spectral, ops, 1)
-    assert np.array_equal(coeffs, np.zeros(3))
+    coeffs = compute_corrections(spectral, ops).psi1_coeffs
+    assert np.array_equal(coeffs, np.zeros((3, 3)))
 
 
 def test_first_order_vector_normalization_only():
@@ -164,8 +162,9 @@ def test_first_order_vector_normalization_only():
     f = field_from_expression(spectral.pair.surface, "cos(2*pi*x)")
     zero_h1 = np.zeros((spectral.pair.node_count,) * 2)
     ops = generic_operators(spectral.pair, zero_h1, g1=-f.values)
+    report = compute_corrections(spectral, ops)
     for n in range(6):
-        coeffs = first_order_vector(spectral, ops, n)
+        coeffs = report.psi1_coeffs[:, n]
         psi_n = spectral.eigenvectors[:, n]
         expected = 0.5 * psi_n @ (spectral.pair.mass * f.values * psi_n)
         assert coeffs[n] == pytest.approx(expected, abs=1e-14)
@@ -175,17 +174,16 @@ def test_first_order_vector_normalization_only():
 
 def test_first_order_residual_full_basis():
     pair, spectral, _, ops = conformal_setup(12, "cos(2*pi*x)")
+    report = compute_corrections(spectral, ops)
     adapted = adapt_degenerate_basis(spectral, ops)
-    lam1 = first_order(adapted, ops)
     for n in range(9):
-        coeffs = first_order_vector(adapted, ops, n)
-        psi1 = adapted.eigenvectors @ coeffs
+        psi1 = adapted.eigenvectors @ report.psi1_coeffs[:, n]
         psi0 = adapted.eigenvectors[:, n]
         res = (
             pair.apply_laplacian(psi1)
             - adapted.eigenvalues[n] * psi1
             + ops.apply_h1(psi0)
-            - lam1[n] * psi0
+            - report.lambda1[n] * psi0
         )
         norm = np.sqrt(res @ (pair.mass * res))
         assert norm <= 1e-8
@@ -197,7 +195,7 @@ def test_first_order_vector_small_gap_guard():
     h1[1, 2] = h1[2, 1] = 1.0
     ops = generic_operators(spectral.pair, h1)
     with pytest.raises(SmallGapError):
-        first_order_vector(spectral, ops, 1)
+        compute_corrections(spectral, ops)
 
 
 # --------------------------------------------------------------- second order
@@ -237,13 +235,12 @@ def test_corrections_form_elements_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("truncation", [None, 30])
-def test_corrections_lambda2_is_second_order(truncation):
+def test_corrections_lambda2_is_second_order():
     # cos(2 pi x) leaves first-order ties, so stage 2 of the adaptation runs
     _, spectral, _, ops = conformal_setup(12, "cos(2*pi*x) + 0.3*cos(4*pi*y)")
-    report = compute_corrections(spectral, ops, truncation_modes=truncation)
+    report = compute_corrections(spectral, ops)
     adapted = adapt_degenerate_basis(spectral, ops)
-    expected = second_order(adapted, ops, truncation_modes=truncation)
+    expected = second_order(adapted, ops)
     assert np.array_equal(report.lambda2, expected)
 
 

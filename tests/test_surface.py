@@ -10,10 +10,10 @@ from isospec.errors import (
 from isospec.surface import (
     ConformalPerturbation,
     PerturbationSide,
+    ScalarField,
     SurfaceKind,
     constant_field,
     field_from_expression,
-    field_from_values,
     fourier_fields,
     icosphere_arrays,
     load_mesh,
@@ -152,14 +152,14 @@ def test_unsupported_expression(torus16):
 
 def test_field_length_checked(torus16):
     with pytest.raises(ValueError):
-        field_from_values(torus16, np.ones(3))
+        ScalarField(torus16, np.ones(3))
 
 
 def test_field_finiteness_checked(torus16):
     values = np.ones(torus16.node_count)
     values[0] = np.nan
     with pytest.raises(ValueError):
-        field_from_values(torus16, values)
+        ScalarField(torus16, values)
 
 
 def test_constant_field_helper(torus16):
