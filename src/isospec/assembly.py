@@ -225,6 +225,8 @@ def conformal_operators(pair, pert):
 
     Metric side, factor 1 + t f1 on the metric: the reciprocal expansion
     gives H1 = -F1 Delta0, H2 = F1^2 Delta0, G1 = F1, G2 = 0.
+
+    Finite fields whose squares overflow raise NumericalBreakdownError.
     """
     if pair.surface is None or pert.surface is not pair.surface:
         raise SurfaceMismatchError(
@@ -232,21 +234,29 @@ def conformal_operators(pair, pert):
         )
     f1 = pert.f1.values
     f2 = pert.f2_values()
-    if pert.side is PerturbationSide.INVERSE_METRIC:
-        return PerturbationOperators(
-            pair=pair,
-            h1_multiplier=f1,
-            h2_multiplier=f2,
-            g1=-f1,
-            g2=f1 * f1 - f2,
-        )
-    return PerturbationOperators(
-        pair=pair,
-        h1_multiplier=-f1,
-        h2_multiplier=f1 * f1,
-        g1=f1.copy(),
-        g2=np.zeros_like(f1),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pert.side is PerturbationSide.INVERSE_METRIC:
+            ops = PerturbationOperators(
+                pair=pair,
+                h1_multiplier=f1,
+                h2_multiplier=f2,
+                g1=-f1,
+                g2=f1 * f1 - f2,
+            )
+        else:
+            ops = PerturbationOperators(
+                pair=pair,
+                h1_multiplier=-f1,
+                h2_multiplier=f1 * f1,
+                g1=f1.copy(),
+                g2=np.zeros_like(f1),
+            )
+    for name in ("h1_multiplier", "h2_multiplier", "g1", "g2"):
+        if not np.all(np.isfinite(getattr(ops, name))):
+            raise NumericalBreakdownError(
+                f"perturbation {name} is not finite: the field overflows when squared"
+            )
+    return ops
 
 
 def conformal_factor(pert, t):

@@ -34,6 +34,7 @@ from .assembly import (
 from .errors import (
     InsufficientModesError,
     ModeCountError,
+    NumericalBreakdownError,
     RankDeficientBasisError,
     SurfaceMismatchError,
 )
@@ -328,6 +329,16 @@ def metric_side_probe(surface, f, n_modes, t_grid, tol_deg=eigen.DEFAULT_TOL_DEG
         fd1, fd2 = _central_differences(
             pair, report, plus, minus, fd_step, n_modes, tol_deg
         )
+    results = {
+        "collapsed_lambda2": collapsed,
+        "collapsed_vs_generic_max": collapsed_vs_generic,
+        "prediction_deviations": deviations,
+        "fd_lambda1": fd1,
+        "fd_lambda2": fd2,
+    }
+    for name, values in results.items():
+        if values is not None and not np.all(np.isfinite(values)):
+            raise NumericalBreakdownError(f"metric probe {name} is not finite")
 
     return MetricProbeReport(
         t_grid=t_grid,
@@ -389,7 +400,7 @@ def _central_differences(pair, report, plus, minus, h, n_modes, tol_deg):
     plus_b = plus[_positions(branch_permutation(report, 1.0))[branches]]
     minus_b = minus[_positions(branch_permutation(report, -1.0))[branches]]
     fd1 = (plus_b - minus_b) / (2.0 * h)
-    fd2 = 0.5 * (plus_b - 2.0 * lam_b + minus_b) / h**2
+    fd2 = 0.5 * (plus_b - 2.0 * lam_b + minus_b) / (h * h)
     return fd1, fd2
 
 

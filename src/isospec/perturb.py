@@ -49,13 +49,17 @@ class CorrectionReport:
     basis_rotations: dict
     degeneracy_groups: tuple
     tol_deg: float
-    truncation_modes: int
     tail_estimates: np.ndarray = field(repr=False)
     truncation_warnings: np.ndarray = field(repr=False)
 
     @property
     def n_modes(self):
         return self.lambda0.shape[0]
+
+    @property
+    def truncation_modes(self):
+        """Modes the second-order sums run over: every computed mode."""
+        return self.n_modes
 
     def to_json_dict(self):
         return {
@@ -227,6 +231,8 @@ def _ascending_eigensystem(block):
     Rotating inside a cluster that is diagonal up to rounding would replace
     the solver's clean basis with an arbitrary orthogonal mix of it.
     """
+    if not np.all(np.isfinite(block)):
+        raise NumericalBreakdownError("projected perturbation block is not finite")
     diag = np.diag(block).copy()
     off = np.abs(block - np.diag(diag)).max()
     if off <= 1e-13 * (1.0 + np.abs(diag).max()):
@@ -285,6 +291,7 @@ def second_order(spectral, ops):
     return _lambda2(spectral, ops, matrix_elements(spectral, ops), keep)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compute_corrections(spectral, ops):
     """Adapt the basis and assemble the full correction report.
 
@@ -330,6 +337,12 @@ def compute_corrections(spectral, ops):
     coeffs = _divided(elements, lam, keep)
     diag = -0.5 * np.einsum("in,in->n", psi, mass[:, None] * (ops.g1[:, None] * psi))
     coeffs[np.arange(n_modes), np.arange(n_modes)] = diag
+    results = {"lambda1": lambda1, "lambda2": lambda2, "psi1_coeffs": coeffs}
+    for name, values in results.items():
+        if not np.all(np.isfinite(values)):
+            raise NumericalBreakdownError(
+                f"{name} is not finite: the perturbation overflows"
+            )
 
     return CorrectionReport(
         lambda0=lam,
@@ -339,7 +352,6 @@ def compute_corrections(spectral, ops):
         basis_rotations=adapted.basis_rotations,
         degeneracy_groups=adapted.degeneracy_groups,
         tol_deg=adapted.tol_deg,
-        truncation_modes=n_modes,
         tail_estimates=tails,
         truncation_warnings=warn,
     )

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from isospec.assembly import assemble_base
 from isospec.surface import icosphere_arrays, make_torus
@@ -21,6 +26,12 @@ OCTAHEDRON_OFF = """OFF
 3 3 1 5
 3 0 3 5
 """
+
+# test runs leave no .hypothesis/ directory in the checkout: no example
+# database, and the constants cache hypothesis keeps goes to the temp dir
+settings.register_profile("isospec", database=None)
+settings.load_profile("isospec")
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "isospec-hypothesis"))
 
 
 def write_off(path, vertices, faces):

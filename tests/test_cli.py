@@ -336,6 +336,29 @@ def test_convexity_positivity_exit_code(tmp_path, capsys):
     assert "node" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("corrections", {"f1": "1e300*x"}),
+        ("metric-probe", {"f1": "1e300*x"}),
+        ("corrections", {"f1": "1e154*x"}),
+        ("metric-probe", {"f1": "1e154*x"}),
+        ("metric-probe", {"f1": "0", "t_grid": [1e300, -1e300]}),
+    ],
+    ids=[
+        "corrections-square", "metric-probe-square", "corrections-elements",
+        "metric-probe-elements", "metric-probe-t-squared",
+    ],
+)
+def test_overflow_is_numerical_error(tmp_path, capsys, command, extra):
+    # finite inputs whose squares (1e300, t^2) or matrix elements (1e154) overflow
+    config = write_config(tmp_path, torus_config(nx=8, n_modes=5, **extra))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 3
+    assert only_error(capsys)["error"] == "NumericalBreakdownError"
+    assert list(out.iterdir()) == []
+
+
 # --------------------------------------------------------------------- selftest
 
 
