@@ -287,14 +287,9 @@ def _write_manifest(config, artifacts, wall_time):
     _write_json(os.path.join(config.out_dir, "manifest.json"), payload)
 
 
-def _solve(config, pair, n_modes=None):
-    n = pair.node_count if n_modes is None else min(n_modes, pair.node_count)
-    return eigen.solve(pair, n, config.tol_deg)
-
-
 def run_spectrum(config):
     pair = assemble_base(config.build_surface())
-    spectral = _solve(config, pair, config.n_modes)
+    spectral = eigen.solve(pair, min(config.n_modes, pair.node_count), config.tol_deg)
     spectral.export_csv(os.path.join(config.out_dir, "spectrum.csv"))
     return ["spectrum.csv"]
 
@@ -306,28 +301,11 @@ def run_corrections(config):
     f2 = field_from_expression(surface, config.f2) if config.f2 else None
     pert = ConformalPerturbation(side=config.side, f1=f1, f2=f2)
     ops = conformal_operators(pair, pert)
-    # full solve keeps the divided sums untruncated; the JSON is cut to
-    # the requested modes, extended to the end of their degeneracy group
-    spectral = _solve(config, pair)
-    report = compute_corrections(spectral, ops)
-    n_report = min(
-        eigen.complete_group_count(report.degeneracy_groups, config.n_modes),
-        report.n_modes,
+    n_modes = min(config.n_modes, pair.node_count)
+    report = compute_corrections(eigen.solve_window(pair, n_modes, config.tol_deg), ops)
+    _write_json(
+        os.path.join(config.out_dir, "corrections.json"), report.to_json_dict()
     )
-    payload = report.to_json_dict()
-    for key in (
-        "lambda0",
-        "lambda1",
-        "lambda2",
-        "tail_estimates",
-        "truncation_warnings",
-    ):
-        payload[key] = payload[key][:n_report]
-    payload["n_modes"] = n_report
-    payload["degeneracy_groups"] = [
-        g for g in payload["degeneracy_groups"] if g[-1] < n_report
-    ]
-    _write_json(os.path.join(config.out_dir, "corrections.json"), payload)
     return ["corrections.json"]
 
 
@@ -337,31 +315,16 @@ def run_obstruction(config):
         n = surface.node_count
         raise ConfigError(f"obstruction: basis_size exceeds the {n} surface nodes")
     pair = assemble_base(surface)
-    spectral, n_window = _solve_window(config, pair)
+    # the map is basis-independent only over complete degeneracy groups
+    spectral = eigen.solve_window(pair, config.n_modes, config.tol_deg)
     basis = default_field_basis(surface, config.basis_size, spectral=spectral)
-    report = obstruction_map(spectral, basis, n_window, kernel_tol=config.kernel_tol)
+    report = obstruction_map(
+        spectral, basis, spectral.n_modes, kernel_tol=config.kernel_tol
+    )
     _write_json(
         os.path.join(config.out_dir, "obstruction.json"), report.to_json_dict()
     )
     return ["obstruction.json"]
-
-
-def _solve_window(config, pair):
-    """(spectrum, n_modes widened to the end of the degeneracy group it cuts).
-
-    The obstruction map is basis-independent only over complete groups,
-    and a group can close only below the last solved mode, so the solve
-    asks for one mode more than the window and doubles until it sees the
-    group close or holds every mode.
-    """
-    n = pair.node_count
-    k = min(config.n_modes + 1, n)
-    while True:
-        spectral = _solve(config, pair, k)
-        n_window = eigen.complete_group_count(spectral.degeneracy_groups, config.n_modes)
-        if n_window < k or k == n:
-            return spectral, n_window
-        k = min(2 * k, n)
 
 
 def run_convexity(config):
@@ -392,7 +355,7 @@ def run_metric_probe(config):
 def run_weyl(config):
     surface = config.build_surface()
     pair = assemble_base(surface)
-    spectral = _solve(config, pair, config.n_modes)
+    spectral = eigen.solve(pair, min(config.n_modes, pair.node_count), config.tol_deg)
     estimate = weyl_volume_estimate(spectral)
     payload = {
         "schema_version": 1,

@@ -38,12 +38,7 @@ from .errors import (
     RankDeficientBasisError,
     SurfaceMismatchError,
 )
-from .perturb import (
-    _cross_group_mask,
-    branch_permutation,
-    compute_corrections,
-    predicted_spectrum,
-)
+from .perturb import branch_permutation, compute_corrections, predicted_spectrum
 from .surface import (
     ConformalPerturbation,
     PerturbationSide,
@@ -262,52 +257,52 @@ def convexity_probe(surface, c1, c2, n_modes, tau_grid, tol_deg=eigen.DEFAULT_TO
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def metric_side_probe(surface, f, n_modes, t_grid, tol_deg=eigen.DEFAULT_TOL_DEG):
     """Second-order pipeline for g = g0 (1 + t f) with its collapsed formula.
 
-    Solves the full spectrum so the divided sums are untruncated, checks
+    On the window of n_modes closed at its last degeneracy group, checks
     the collapsed metric-side second order
     lambda2_n = sum_i (lambda_n)^2 |<psi_i, f psi_n>|^2 / (lambda_n - lambda_i)
                 + lambda1_n^2 / lambda_n,
-    the sum over modes i outside the degeneracy group of n and the last
-    term for lambda_n > 0 only, against the generic machinery, and
-    compares the quadratic prediction with exact eigensolves at every t in
-    t_grid.  The divided sum comes from the correction report itself:
-    H1 = -f Delta0 makes each numerator E[i, n]^2, and psi1_coeffs[i, n] =
-    E[i, n] / (lambda_n - lambda_i) on the cross-group mask, so each term
-    is psi1_coeffs[i, n]^2 times the gap.  When t_grid contains a
-    symmetric pair +-h around the smallest step, central finite
-    differences for both corrections are reported as well.  Their centre
-    value comes from a solve of the same shape as the +-h points (n_modes,
-    extended to close the degeneracy group at the cut); the reported
-    lambda0 still comes from the full solve.
+    the sum over modes i outside the group of n and the last term for
+    lambda_n > 0 only, against the generic machinery, and compares the
+    quadratic prediction with exact eigensolves at every t in t_grid.  With
+    H1 = -f Delta0 the sum is the quadratic form <x, (lambda_g M0 - K) x>
+    of the report's psi1_orthogonal column x, lambda_g the group mean.
+    When t_grid contains a symmetric pair +-h around the smallest step,
+    central finite differences for both corrections are reported as well;
+    their centre comes from a solve of the same shape as the +-h points.
+    Overflows raise NumericalBreakdownError without numpy warnings.
     """
     if f.surface is not surface:
         raise SurfaceMismatchError("field on a different surface")
     t_grid = np.asarray(t_grid, dtype=float)
     pert = ConformalPerturbation(side=PerturbationSide.METRIC, f1=f)
     pair = assemble_base(surface)
-    spectral = eigen.solve(pair, pair.node_count, tol_deg)
     ops = conformal_operators(pair, pert)
+    spectral = eigen.solve_window(pair, n_modes, tol_deg)
     report = compute_corrections(spectral, ops)
 
     lam = spectral.eigenvalues
-    keep = _cross_group_mask(report.degeneracy_groups, lam.shape[0])
-    coeffs = report.psi1_coeffs
-    terms = coeffs * coeffs * (lam[None, :] - lam[:, None])
+    lam_g = np.concatenate(
+        [np.full(len(g), np.mean(lam[list(g)])) for g in report.degeneracy_groups]
+    )
+    x = report.psi1_orthogonal
+    shifted = lam_g[None, :] * (pair.mass[:, None] * x) - pair.stiffness @ x
     in_group = np.divide(
         report.lambda1**2, lam, out=np.zeros_like(lam), where=lam > 0.0
     )
-    collapsed = np.where(keep, terms, 0.0).sum(axis=0) + in_group
+    collapsed = np.einsum("in,in->n", x, shifted) + in_group
 
     scale = 1.0 + lam[:n_modes] ** 2
     collapsed_vs_generic = float(
         np.max(np.abs(collapsed[:n_modes] - report.lambda2[:n_modes]) / scale)
     )
 
-    # always compare across complete degeneracy groups so branch pairing
+    # the window holds complete degeneracy groups, so branch pairing
     # between prediction and exact solves cannot straddle the cut
-    n_eval = eigen.complete_group_count(report.degeneracy_groups, n_modes)
+    n_eval = report.n_modes
     deviations = np.empty(t_grid.shape[0])
     exact_cache = {}
     for k, t in enumerate(t_grid):

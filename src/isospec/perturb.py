@@ -3,7 +3,7 @@
 The family H(t) = H0 + t H1 + t^2 H2 is self-adjoint with respect to the
 perturbed inner product M_t = M0 (I + t G1 + t^2 G2), not with respect to
 M0 itself.  The first and second order eigenvalue corrections nevertheless
-take no input from G1, G2; the inner-product data only fixes the diagonal
+take no input from G1, G2; the inner-product data only fixes the
 normalization coefficient of the eigenvector correction.
 
 Degenerate levels need an adapted basis before the formulas apply.  The
@@ -14,20 +14,27 @@ second-order effective operator is diagonal as well.  The second stage
 acts inside eigenspaces of the projected H1, so the first stage survives.
 Without the second stage, per-branch second-order corrections are basis
 garbage whenever the projected H1 vanishes on a group.
+
+Sums over every mode outside a group g come from one sparse solve per
+group (Sternheimer), not from a full spectrum.  With Q the M0-projector
+off g and lambda_g the group mean, column a of the solution X of
+
+    [[lambda_g M0 - K, M0 Psi_g], [Psi_g^T M0, 0]] [X; mu] = [M0 Q H1 Psi_g; 0]
+
+is sum_{i not in g} psi_i E[i, a] / (lambda_g - lambda_i), the M0-orthogonal
+part of the eigenvector correction, whatever window of modes was solved.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from .eigen import SpectralData, _fix_signs
-from .errors import NumericalBreakdownError, SmallGapError
-
-logger = logging.getLogger(__name__)
+from .eigen import _fix_signs
+from .errors import ModeCountError, NumericalBreakdownError, SmallGapError
 
 GAP_GUARD = 1e-12
 TIE_TOL = 1e-9
@@ -37,42 +44,35 @@ TIE_TOL = 1e-9
 class CorrectionReport:
     """Per-mode corrections through second order.
 
-    psi1_coeffs column n holds the coefficients c_i of the first-order
-    eigenvector correction psi1_n = sum_i c_i psi_i; its diagonal entry is
-    the normalization coefficient -1/2 <psi_n, G1 psi_n>.
+    The first-order eigenvector correction of mode n is
+    psi1_n = psi1_orthogonal[:, n] + psi1_normalization[n] * psi_n, with
+    psi_n the adapted basis vector (adapt_degenerate_basis).  The first part
+    is M0-orthogonal to the degeneracy group of n and independent of G1 and
+    G2; the coefficient is -1/2 <psi_n, G1 psi_n>.
     """
 
     lambda0: np.ndarray = field(repr=False)
     lambda1: np.ndarray = field(repr=False)
     lambda2: np.ndarray = field(repr=False)
-    psi1_coeffs: np.ndarray = field(repr=False)
+    psi1_orthogonal: np.ndarray = field(repr=False)
+    psi1_normalization: np.ndarray = field(repr=False)
     basis_rotations: dict
     degeneracy_groups: tuple
     tol_deg: float
-    tail_estimates: np.ndarray = field(repr=False)
-    truncation_warnings: np.ndarray = field(repr=False)
 
     @property
     def n_modes(self):
         return self.lambda0.shape[0]
 
-    @property
-    def truncation_modes(self):
-        """Modes the second-order sums run over: every computed mode."""
-        return self.n_modes
-
     def to_json_dict(self):
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "n_modes": int(self.n_modes),
-            "truncation_modes": int(self.truncation_modes),
             "tol_deg": float(self.tol_deg),
             "degeneracy_groups": [list(g) for g in self.degeneracy_groups],
             "lambda0": [float(x) for x in self.lambda0],
             "lambda1": [float(x) for x in self.lambda1],
             "lambda2": [float(x) for x in self.lambda2],
-            "tail_estimates": [float(x) for x in self.tail_estimates],
-            "truncation_warnings": [bool(x) for x in self.truncation_warnings],
         }
 
 
@@ -86,44 +86,50 @@ def _elements(psi, ops):
     return psi.T @ (ops.pair.mass[:, None] * ops.apply_h1(psi))
 
 
-def _cross_group_mask(groups, n_modes):
-    """keep[i, n]: whether term i enters mode n's divided sums.
+def _group_solve(ops, psi, lam, members):
+    """(X, M2) of one degeneracy group by the bordered solve (module docstring).
 
-    Excludes every pair inside one degeneracy group: their numerators
-    vanish in the adapted basis, so the exclusion is structural, not
-    threshold-based.
+    M2 = (H1* Psi_g)^T M0 X + Psi_g^T M0 H2 Psi_g is the group's
+    second-order effective operator.  Refuses with SmallGapError when the
+    group mean lies within GAP_GUARD of another computed eigenvalue.
     """
-    keep = np.ones((n_modes, n_modes), dtype=bool)
-    for members in groups:
-        mg = np.array(members)
-        keep[np.ix_(mg, mg)] = False
-    return keep
+    import scipy.sparse.linalg as spla  # lazy: keeps `import isospec.cli` light
 
-
-def _divided(numer, lam, keep):
-    """numer[i, n] / (lambda_n - lambda_i) where keep, zero elsewhere.
-
-    Refuses with SmallGapError when a kept gap falls below GAP_GUARD.
-    """
-    gaps = lam[None, :] - lam[:, None]
-    tight = keep & (np.abs(gaps) < GAP_GUARD * (1.0 + np.abs(lam[None, :])))
-    if np.any(tight):
-        i, n = np.argwhere(tight)[0]
+    sl = slice(members[0], members[-1] + 1)
+    lam_g = float(np.mean(lam[sl]))
+    outside = np.ones(lam.shape[0], dtype=bool)
+    outside[sl] = False
+    tight = np.flatnonzero(outside & (np.abs(lam_g - lam) < GAP_GUARD * (1.0 + abs(lam_g))))
+    if tight.size:
         raise SmallGapError(
-            f"cross-group gap below guard between modes {int(i)} and {int(n)}; "
-            "increase tol_deg"
+            f"cross-group gap below guard between modes {members[0]}-{members[-1]} "
+            f"and mode {int(tight[0])}; increase tol_deg"
         )
-    out = np.zeros_like(numer)
-    np.divide(numer, gaps, out=out, where=keep)
-    return out
-
-
-def _lambda2(spectral, ops, elements, keep):
-    """(lambda2, its divided sum) from E and the cross-group mask."""
-    psi = spectral.eigenvectors
-    sum_term = _divided(elements * elements.T, spectral.eigenvalues, keep).sum(axis=0)
-    h2_term = np.einsum("in,in->n", psi, ops.pair.mass[:, None] * ops.apply_h2(psi))
-    return sum_term + h2_term, sum_term
+    mass = ops.pair.mass
+    psi_g = psi[:, sl]
+    n, m = psi_g.shape
+    border = mass[:, None] * psi_g
+    # [[lam_g M0 - K, border], [border^T, 0]], assembled from triplets; the
+    # conversion sums the diagonal of K with lam_g M0
+    k = ops.pair.stiffness.tocoo()
+    nodes, extra = np.arange(n), n + np.arange(m)
+    rows = np.concatenate([k.row, nodes, np.repeat(nodes, m), np.tile(extra, n)])
+    cols = np.concatenate([k.col, nodes, np.tile(extra, n), np.repeat(nodes, m)])
+    values = np.concatenate([-k.data, lam_g * mass, border.ravel(), border.ravel()])
+    bordered = scipy.sparse.csc_matrix((values, (rows, cols)), shape=(n + m, n + m))
+    h1psi = ops.apply_h1(psi_g)
+    rhs = np.zeros((n + m, m))
+    rhs[:n] = mass[:, None] * h1psi - border @ (border.T @ h1psi)
+    try:
+        lu = spla.splu(bordered)
+    except RuntimeError as exc:  # an exactly zero pivot
+        raise NumericalBreakdownError(
+            f"bordered system of modes {members[0]}-{members[-1]} is singular"
+        ) from exc
+    x = lu.solve(rhs)[:n]
+    m2 = ops.apply_h1_adjoint(psi_g).T @ (mass[:, None] * x)
+    m2 += psi_g.T @ (mass[:, None] * ops.apply_h2(psi_g))
+    return x, m2
 
 
 def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
@@ -131,98 +137,45 @@ def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
 
     Stage 1 diagonalizes the projected H1 on every multi-member group.
     Stage 2 diagonalizes the projected second-order effective operator
-    M2_ab = sum_{i not in g} E_ai E_ib / (lambda_g - lambda_i) + <a, H2 b>
-    inside subspaces where stage 1 left first-order ties.  Branches end up
-    ordered by (first-order, then second-order) correction within each
-    group.  Returns a new SpectralData with rotations recorded per group;
-    singleton groups are untouched and not recorded.
+    M2_ab = sum_{i not in g} E_ai E_ib / (lambda_g - lambda_i) + <a, H2 b>,
+    from the group's bordered solve, inside subspaces where stage 1 left
+    first-order ties.  Branches end up ordered by (first-order, then
+    second-order) correction within each group.  Returns a new SpectralData
+    with rotations recorded per group; singleton groups are untouched and
+    not recorded.
     """
     groups = spectral.degeneracy_groups
-    multi = [gid for gid, g in enumerate(groups) if len(g) > 1]
-    if not multi:
-        return SpectralData(
-            pair=spectral.pair,
-            eigenvalues=spectral.eigenvalues,
-            eigenvectors=spectral.eigenvectors,
-            degeneracy_groups=groups,
-            tol_deg=spectral.tol_deg,
-            basis_rotations={},
-        )
-
     lam = spectral.eigenvalues
-    mass = ops.pair.mass
     psi = spectral.eigenvectors.copy()
     rotations = {}
-    stage1 = {}
-
-    for gid in multi:
-        idx = np.array(groups[gid])
-        block = psi[:, idx]
-        b = _elements(block, ops)
-        b = 0.5 * (b + b.T)
-        d, r = _ascending_eigensystem(b)
-        psi[:, idx] = block @ r
-        rotations[gid] = r
-        stage1[gid] = d
-
-    # full matrix elements in the stage-1 basis; the second-order effective
-    # blocks below are invariant under the stage-2 rotations of other groups
-    elements = _elements(psi, ops)
-    h2psi = ops.apply_h2(psi)
-
-    for gid in multi:
-        idx = np.array(groups[gid])
-        lam_g = float(np.mean(lam[idx]))
-        runs = _tie_runs(stage1[gid], tie_tol * (1.0 + abs(lam_g)))
-        if all(len(run) == 1 for run in runs):
+    for gid, members in enumerate(groups):
+        if len(members) == 1:
             continue
-        out = np.ones(lam.shape[0], dtype=bool)
-        out[idx] = False
-        out_idx = np.flatnonzero(out)
-        gaps = lam_g - lam[out_idx]
-        tight = np.abs(gaps) < GAP_GUARD * (1.0 + abs(lam_g))
-        if np.any(tight):
-            other = int(out_idx[np.flatnonzero(tight)[0]])
-            raise SmallGapError(
-                f"cross-group gap below guard between group {gid} and mode "
-                f"{other}; increase tol_deg"
-            )
-        m2 = (elements[np.ix_(idx, out_idx)] / gaps[None, :]) @ elements[
-            np.ix_(out_idx, idx)
-        ]
-        m2 += psi[:, idx].T @ (mass[:, None] * h2psi[:, idx])
-        m2 = 0.5 * (m2 + m2.T)
-        r_total = rotations[gid].copy()
+        g = slice(members[0], members[-1] + 1)
+        b = _elements(psi[:, g], ops)
+        d, r = _ascending_eigensystem(0.5 * (b + b.T))
+        psi[:, g] = psi[:, g] @ r
+        # M2 spans every mode outside the group, so the rotations of other
+        # groups leave it unchanged
+        tol = tie_tol * (1.0 + abs(float(np.mean(lam[g]))))
+        runs = [run for run in _tie_runs(d, tol) if len(run) > 1]
+        if runs:
+            m2 = _group_solve(ops, psi, lam, members)[1]
+            m2 = 0.5 * (m2 + m2.T)
         for run in runs:
-            if len(run) == 1:
-                continue
-            sub = m2[np.ix_(run, run)]
-            _, r2 = _ascending_eigensystem(0.5 * (sub + sub.T))
-            cols = idx[run]
+            _, r2 = _ascending_eigensystem(m2[np.ix_(run, run)])
+            cols = members[0] + np.array(run)
             psi[:, cols] = psi[:, cols] @ r2
-            r_total[:, run] = r_total[:, run] @ r2
-        rotations[gid] = r_total
+            r[:, run] = r[:, run] @ r2
+        # deterministic signs, folded into the recorded rotation
+        fixed = _fix_signs(psi[:, g])
+        r = r * np.where(np.einsum("ij,ij->j", fixed, psi[:, g]) >= 0.0, 1.0, -1.0)
+        psi[:, g] = fixed
+        rotations[gid] = r
 
-    # deterministic signs, folded into the recorded rotations
-    for gid in multi:
-        idx = np.array(groups[gid])
-        fixed = _fix_signs(psi[:, idx])
-        signs = np.where(
-            np.einsum("ij,ij->j", fixed, psi[:, idx]) >= 0.0, 1.0, -1.0
-        )
-        psi[:, idx] = fixed
-        rotations[gid] = rotations[gid] * signs[None, :]
-
-    _check_adapted(psi, lam, ops, groups, multi)
+    _check_adapted(psi, lam, ops, groups, rotations)
     psi.flags.writeable = False
-    return SpectralData(
-        pair=spectral.pair,
-        eigenvalues=lam,
-        eigenvectors=psi,
-        degeneracy_groups=groups,
-        tol_deg=spectral.tol_deg,
-        basis_rotations=rotations,
-    )
+    return replace(spectral, eigenvectors=psi, basis_rotations=rotations)
 
 
 def _ascending_eigensystem(block):
@@ -260,8 +213,8 @@ def _tie_runs(values, tol):
     return runs
 
 
-def _check_adapted(psi, lam, ops, groups, multi):
-    for gid in multi:
+def _check_adapted(psi, lam, ops, groups, rotated):
+    for gid in rotated:
         idx = np.array(groups[gid])
         b = _elements(psi[:, idx], ops)
         off = np.abs(b - np.diag(np.diag(b))).max()
@@ -281,63 +234,59 @@ def first_order(spectral, ops):
 
 
 def second_order(spectral, ops):
-    """lambda2 per mode from the divided sums over the computed modes.
+    """lambda2 per mode, the diagonal of each group's M2; assumes groups adapted.
 
-    The sum for mode n runs over computed modes outside its degeneracy
-    group; compute_corrections takes lambda2 from the same helpers, so
-    both agree bit for bit.
+    The sums run over the whole basis (see the module docstring), so the
+    spectrum must not cut a degeneracy group at its end.
     """
-    keep = _cross_group_mask(spectral.degeneracy_groups, spectral.n_modes)
-    return _lambda2(spectral, ops, matrix_elements(spectral, ops), keep)[0]
+    _require_closed(spectral)
+    return _second_order(spectral, ops)[0]
+
+
+def _require_closed(spectral):
+    if not (spectral.closed or spectral.n_modes == spectral.pair.node_count):
+        raise ModeCountError(
+            f"a spectrum of {spectral.n_modes} of {spectral.pair.node_count} modes "
+            "may cut a degeneracy group; solve every mode or use eigen.solve_window"
+        )
+
+
+def _second_order(spectral, ops):
+    """(lambda2, psi1_orthogonal) from one bordered solve per group."""
+    lam = spectral.eigenvalues
+    psi = spectral.eigenvectors
+    lambda2 = np.empty(spectral.n_modes)
+    orthogonal = np.empty(psi.shape)
+    for members in spectral.degeneracy_groups:
+        sl = slice(members[0], members[-1] + 1)
+        orthogonal[:, sl], m2 = _group_solve(ops, psi, lam, members)
+        lambda2[sl] = np.diag(m2)
+    return lambda2, orthogonal
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def compute_corrections(spectral, ops):
     """Adapt the basis and assemble the full correction report.
 
-    One element matrix E in the adapted basis and one cross-group mask
-    give lambda2 (as second_order does), the psi1 coefficients
-    E[i, n] / (lambda_n - lambda_i) and the truncation tails.  The sums
-    run over the computed modes; when those are not the full basis, the
-    tail estimate bounds the omitted terms through the completeness
-    identity sum_i E[i,n] E[n,i] = <H1.adj psi_n, H1 psi_n>, which needs
-    no full basis: the computed partial sum is subtracted from the right
-    side.
+    spectral must not cut a degeneracy group at its end: a solve of every
+    mode, or a window from eigen.solve_window.  Each group costs one sparse
+    factorization (two where stage 2 of the adaptation runs), whatever the
+    number of modes outside the window.
     """
+    _require_closed(spectral)
     adapted = adapt_degenerate_basis(spectral, ops)
-    n_modes = adapted.n_modes
-    lam = adapted.eigenvalues
     psi = adapted.eigenvectors
-    mass = ops.pair.mass
-
     lambda1 = first_order(adapted, ops)
-    keep = _cross_group_mask(adapted.degeneracy_groups, n_modes)
-    elements = matrix_elements(adapted, ops)
-    lambda2, sum_term = _lambda2(adapted, ops, elements, keep)
-
-    total = np.einsum(
-        "in,in->n", ops.apply_h1_adjoint(psi), mass[:, None] * ops.apply_h1(psi)
+    lambda2, orthogonal = _second_order(adapted, ops)
+    normalization = -0.5 * np.einsum(
+        "in,in->n", psi, ops.pair.mass[:, None] * (ops.g1[:, None] * psi)
     )
-    partial = (elements * elements.T).sum(axis=0)
-    tail_raw = np.maximum(total - partial, 0.0)
-    tail_raw[tail_raw < 1e-10 * (1.0 + np.abs(total))] = 0.0
-    gap_edge = lam[-1] - lam
-    tails = np.full(n_modes, np.inf)
-    np.divide(tail_raw, gap_edge, out=tails, where=gap_edge > 0.0)
-    tails[tail_raw == 0.0] = 0.0
-    warn = tails > np.maximum(0.01 * np.abs(sum_term), 1e-12 * (1.0 + lam) ** 2)
-    if np.any(warn):
-        logger.warning(
-            "second-order truncation tail above 1%% of the partial sum for "
-            "%d of %d modes",
-            int(warn.sum()),
-            n_modes,
-        )
-
-    coeffs = _divided(elements, lam, keep)
-    diag = -0.5 * np.einsum("in,in->n", psi, mass[:, None] * (ops.g1[:, None] * psi))
-    coeffs[np.arange(n_modes), np.arange(n_modes)] = diag
-    results = {"lambda1": lambda1, "lambda2": lambda2, "psi1_coeffs": coeffs}
+    results = {
+        "lambda1": lambda1,
+        "lambda2": lambda2,
+        "psi1_orthogonal": orthogonal,
+        "psi1_normalization": normalization,
+    }
     for name, values in results.items():
         if not np.all(np.isfinite(values)):
             raise NumericalBreakdownError(
@@ -345,15 +294,11 @@ def compute_corrections(spectral, ops):
             )
 
     return CorrectionReport(
-        lambda0=lam,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        psi1_coeffs=coeffs,
+        lambda0=adapted.eigenvalues,
         basis_rotations=adapted.basis_rotations,
         degeneracy_groups=adapted.degeneracy_groups,
         tol_deg=adapted.tol_deg,
-        tail_estimates=tails,
-        truncation_warnings=warn,
+        **results,
     )
 
 

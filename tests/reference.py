@@ -1,9 +1,11 @@
 """Reference implementations that only the tests call.
 
 Perturbation theory outside the conformal family (dense synthetic
-operators and the textbook fixed-inner-product formulas) and a replay of
-the elimination argument behind the paper's rigidity statement.  They
-check the package against the paper's identities and are not part of it.
+operators and the textbook fixed-inner-product formulas), the full-basis
+divided sums the package replaced with one bordered solve per
+degeneracy group, and a replay of the elimination argument behind the
+paper's rigidity statement.  They check the package against the paper's
+identities and are not part of it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from isospec.assembly import OperatorPair
-from isospec.errors import IsospecError, NumericalBreakdownError
+from isospec.errors import IsospecError, NumericalBreakdownError, SmallGapError
 from isospec.experiments import field_matrix_elements
 from isospec.perturb import (
-    _cross_group_mask,
-    _divided,
+    GAP_GUARD,
     adapt_degenerate_basis,
     first_order,
     matrix_elements,
@@ -77,6 +78,66 @@ def generic_operators(pair, h1, h2=None, g1=None, g2=None):
     if h2 is not None:
         h2 = np.asarray(h2, dtype=float)
     return GenericPerturbationOperators(pair=pair, h1=h1, h2=h2, g1=g1, g2=g2)
+
+
+def _cross_group_mask(groups, n_modes):
+    """keep[i, n]: whether term i enters mode n's divided sums.
+
+    Excludes every pair inside one degeneracy group: their numerators
+    vanish in the adapted basis, so the exclusion is structural, not
+    threshold-based.
+    """
+    keep = np.ones((n_modes, n_modes), dtype=bool)
+    for members in groups:
+        mg = np.array(members)
+        keep[np.ix_(mg, mg)] = False
+    return keep
+
+
+def _divided(numer, lam, keep):
+    """numer[i, n] / (lambda_n - lambda_i) where keep, zero elsewhere.
+
+    Refuses with SmallGapError when a kept gap falls below GAP_GUARD.
+    """
+    gaps = lam[None, :] - lam[:, None]
+    tight = keep & (np.abs(gaps) < GAP_GUARD * (1.0 + np.abs(lam[None, :])))
+    if np.any(tight):
+        i, n = np.argwhere(tight)[0]
+        raise SmallGapError(
+            f"cross-group gap below guard between modes {int(i)} and {int(n)}; "
+            "increase tol_deg"
+        )
+    out = np.zeros_like(numer)
+    np.divide(numer, gaps, out=out, where=keep)
+    return out
+
+
+def full_basis_corrections(spectral, ops):
+    """(adapted, lambda1, lambda2, psi1_coeffs) from the divided sums.
+
+    The oracle for compute_corrections: spectral holds every mode, the
+    basis is adapted as the package adapts it, and
+    lambda2_n = sum_i E[n, i] E[i, n] / (lambda_n - lambda_i) + <psi_n, H2 psi_n>
+    over modes i outside the group of n.  Column n of psi1_coeffs holds
+    the coefficients of psi1_n in the adapted basis: E[i, n] /
+    (lambda_n - lambda_i) off the group and -1/2 <psi_n, G1 psi_n> on the
+    diagonal.
+    """
+    n_modes = spectral.n_modes
+    if n_modes != spectral.pair.node_count:
+        raise ValueError("the full-basis sums need every mode")
+    adapted = adapt_degenerate_basis(spectral, ops)
+    lam = adapted.eigenvalues
+    psi = adapted.eigenvectors
+    mass = ops.pair.mass
+    keep = _cross_group_mask(adapted.degeneracy_groups, n_modes)
+    elements = matrix_elements(adapted, ops)
+    h2_term = np.einsum("in,in->n", psi, mass[:, None] * ops.apply_h2(psi))
+    lambda2 = _divided(elements * elements.T, lam, keep).sum(axis=0) + h2_term
+    coeffs = _divided(elements, lam, keep)
+    diag = -0.5 * np.einsum("in,in->n", psi, mass[:, None] * (ops.g1[:, None] * psi))
+    coeffs[np.arange(n_modes), np.arange(n_modes)] = diag
+    return adapted, first_order(adapted, ops), lambda2, coeffs
 
 
 def qm_special_case(spectral, h1):

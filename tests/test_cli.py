@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +69,26 @@ def test_corrections_zero_field_and_group_extension(tmp_path):
     assert np.abs(data["lambda1"]).max() == 0.0
     assert np.abs(data["lambda2"]).max() == 0.0
     assert all(group[-1] < 9 for group in data["degeneracy_groups"])
+    assert data["schema_version"] == 2
+    assert set(data) == {
+        "schema_version", "n_modes", "tol_deg", "degeneracy_groups",
+        "lambda0", "lambda1", "lambda2",
+    }
+
+
+@pytest.mark.parametrize("command", ["corrections", "metric-probe"])
+def test_second_order_commands_solve_windows(tmp_path, monkeypatch, command):
+    real = eigen.solve
+    asked = []
+
+    def counted(pair, n_modes, tol_deg=eigen.DEFAULT_TOL_DEG):
+        asked.append(n_modes)
+        return real(pair, n_modes, tol_deg)
+
+    monkeypatch.setattr(eigen, "solve", counted)
+    config = write_config(tmp_path, torus_config(nx=24, f1="0.2*cos(2*pi*x)*sin(2*pi*y)"))
+    assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert asked and max(asked) < 24 * 24
 
 
 def test_obstruction_end_to_end(tmp_path):
@@ -317,6 +340,16 @@ def test_extreme_float_is_config_error(tmp_path, capsys, command, surface, extra
     assert only_error(capsys)["error"] == error
 
 
+@pytest.mark.parametrize("command", ["corrections", "metric-probe"])
+def test_degenerate_period_is_numerical_error(tmp_path, capsys, command):
+    # at ly = 1e154 the couplings along y are 1e-308 of those along x, and the
+    # bordered factorization of a group meets an exactly zero pivot
+    data = {"surface": {"kind": "torus", "nx": 4, "ny": 7, "ly": 1e154}, "f1": "0.3*x"}
+    config = write_config(tmp_path, data)
+    assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 3
+    assert only_error(capsys)["error"] == "NumericalBreakdownError"
+
+
 def test_basis_larger_than_surface_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, torus_config(nx=8, basis_size=100))
     assert cli.main(["obstruction", "--config", config, "--out", str(tmp_path)]) == 2
@@ -359,6 +392,47 @@ def test_overflow_is_numerical_error(tmp_path, capsys, command, extra):
     assert list(out.iterdir()) == []
 
 
+def run_module(args, **kwargs):
+    """Run python with args, the package on the path; return the CompletedProcess."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=120, **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("metric-probe", {"f1": "1e152*x"}),
+        ("convexity", {"c1": "1+1e200*x*x", "c2": "1"}),
+        ("metric-probe", {"f1": "0", "t_grid": [1e300, -1e300]}),
+    ],
+    ids=["metric-probe-lambda1-squared", "convexity-residual-norm", "metric-probe-t-squared"],
+)
+def test_overflow_writes_only_the_error_record(tmp_path, command, extra):
+    # numpy overflow warnings would reach stderr ahead of the JSON record
+    config = write_config(tmp_path, torus_config(nx=8, n_modes=5, **extra))
+    done = run_module(["-m", "isospec.cli", command, "--config", config,
+                       "--out", str(tmp_path / "out")])
+    assert done.returncode == 3
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert json.loads(lines[0])["error"] == "NumericalBreakdownError"
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    # the benchmark's setup_s times `import isospec.cli`; the sparse solvers
+    # load on first use
+    done = run_module(
+        ["-c", "import sys, isospec.cli; print('scipy.sparse.linalg' in sys.modules)"],
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
+
+
 # --------------------------------------------------------------------- selftest
 
 
@@ -392,3 +466,23 @@ def test_selftest_catches_corrupted_solver(monkeypatch):
     stream = io.StringIO()
     assert run_selftest(seed=0, stream=stream) != 0
     assert "FAIL" in stream.getvalue()
+
+
+_SKEWED_SELFTEST = """
+import dataclasses, sys
+from isospec import eigen
+from isospec.selftest import run_selftest
+real = eigen.solve
+def skewed(pair, n_modes, tol_deg=eigen.DEFAULT_TOL_DEG):
+    sd = real(pair, n_modes, tol_deg)
+    return dataclasses.replace(sd, eigenvalues=sd.eigenvalues * 1.01)
+eigen.solve = skewed
+sys.exit(run_selftest())
+"""
+
+
+def test_selftest_checks_survive_optimized_python():
+    # python -O strips assert statements; the criteria must still fail
+    done = run_module(["-O", "-c", _SKEWED_SELFTEST])
+    assert done.returncode == 1, done.stdout
+    assert "FAIL" in done.stdout

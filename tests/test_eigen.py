@@ -272,6 +272,25 @@ def test_sparse_rerun_bit_identical(pair48):
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
+def test_solve_window_closes_the_cut_group():
+    # 6 modes of the 12 x 12 torus end inside the level of modes 5-8; a
+    # 7-mode solve cannot see that level close, the doubled one can
+    pair = assemble_base(make_torus(12, 12, 1.0, 1.0))
+    window = eigen.solve_window(pair, 6)
+    wider = eigen.solve(pair, 14)
+    assert window.closed and not wider.closed
+    assert window.n_modes == 9
+    assert window.degeneracy_groups == ((0,), (1, 2, 3, 4), (5, 6, 7, 8))
+    assert np.array_equal(window.eigenvalues, wider.eigenvalues[:9])
+    assert np.array_equal(window.eigenvectors, wider.eigenvectors[:, :9])
+    assert eigen.solve_window(pair, 5).n_modes == 5
+    full = eigen.solve_window(pair, pair.node_count)
+    assert full.closed and full.n_modes == pair.node_count
+    for bad in (0, pair.node_count + 1):
+        with pytest.raises(ModeCountError):
+            eigen.solve_window(pair, bad)
+
+
 _DIGEST_SCRIPT = """
 import hashlib
 from isospec import eigen
@@ -327,7 +346,7 @@ def test_solve_logs_path(pair16, pair48, caplog):
 def test_fd_corrections_zero_field_sparse(pair48):
     # the centre and the +-h solves all take the sparse path on bit-equal
     # matrices, so the second difference cancels exactly
-    spectral = eigen.solve(pair48, 30)
+    spectral = eigen.solve_window(pair48, 10)
     pert = ConformalPerturbation(
         side=PerturbationSide.METRIC, f1=constant_field(pair48.surface, 0.0)
     )

@@ -10,7 +10,7 @@ from isospec.assembly import (
     conformal_operators,
     exact_perturbed_pair,
 )
-from isospec.errors import SmallGapError
+from isospec.errors import ModeCountError, SmallGapError
 from isospec.perturb import (
     CorrectionReport,
     adapt_degenerate_basis,
@@ -21,6 +21,7 @@ from isospec.perturb import (
     predicted_spectrum,
     second_order,
 )
+from isospec.selftest import smooth_random_field
 from isospec.surface import (
     ConformalPerturbation,
     PerturbationSide,
@@ -30,13 +31,22 @@ from isospec.surface import (
     make_torus,
     mesh_from_arrays,
 )
-from reference import SymmetryError, generic_operators, qm_special_case
+from reference import (
+    SymmetryError,
+    full_basis_corrections,
+    generic_operators,
+    qm_special_case,
+)
 
 
 def conformal_setup(nx, expr, n_modes=None, side=PerturbationSide.INVERSE_METRIC, f2=None):
+    """Every mode of the nx x nx torus, or the closed window of n_modes."""
     surface = make_torus(nx, nx, 1.0, 1.0)
     pair = assemble_base(surface)
-    spectral = eigen.solve(pair, pair.node_count if n_modes is None else n_modes)
+    if n_modes is None:
+        spectral = eigen.solve(pair, pair.node_count)
+    else:
+        spectral = eigen.solve_window(pair, n_modes)
     f1 = field_from_expression(surface, expr)
     f2_field = field_from_expression(surface, f2) if f2 else None
     pert = ConformalPerturbation(side=side, f1=f1, f2=f2_field)
@@ -155,8 +165,9 @@ def test_conformal_first_order_specialization():
 def test_first_order_vector_zero_perturbation():
     spectral = synthetic_spectral([0.0, 1.0, 2.0], [(0,), (1,), (2,)])
     ops = generic_operators(spectral.pair, np.zeros((3, 3)))
-    coeffs = compute_corrections(spectral, ops).psi1_coeffs
-    assert np.array_equal(coeffs, np.zeros((3, 3)))
+    report = compute_corrections(spectral, ops)
+    assert np.array_equal(report.psi1_orthogonal, np.zeros((3, 3)))
+    assert np.array_equal(report.psi1_normalization, np.zeros(3))
 
 
 def test_first_order_vector_normalization_only():
@@ -166,12 +177,10 @@ def test_first_order_vector_normalization_only():
     ops = generic_operators(spectral.pair, zero_h1, g1=-f.values)
     report = compute_corrections(spectral, ops)
     for n in range(6):
-        coeffs = report.psi1_coeffs[:, n]
         psi_n = spectral.eigenvectors[:, n]
         expected = 0.5 * psi_n @ (spectral.pair.mass * f.values * psi_n)
-        assert coeffs[n] == pytest.approx(expected, abs=1e-14)
-        off = np.delete(coeffs, n)
-        assert np.abs(off).max() <= 1e-14
+        assert report.psi1_normalization[n] == pytest.approx(expected, abs=1e-14)
+        assert np.abs(report.psi1_orthogonal[:, n]).max() <= 1e-14
 
 
 def test_first_order_residual_full_basis():
@@ -179,8 +188,8 @@ def test_first_order_residual_full_basis():
     report = compute_corrections(spectral, ops)
     adapted = adapt_degenerate_basis(spectral, ops)
     for n in range(9):
-        psi1 = adapted.eigenvectors @ report.psi1_coeffs[:, n]
         psi0 = adapted.eigenvectors[:, n]
+        psi1 = report.psi1_orthogonal[:, n] + report.psi1_normalization[n] * psi0
         res = (
             pair.apply_laplacian(psi1)
             - adapted.eigenvalues[n] * psi1
@@ -223,18 +232,30 @@ def test_second_order_matches_finite_difference():
     assert np.abs(report.lambda2[:13] - fd2).max() <= 1e-3 * scale.max()
 
 
-def test_corrections_form_elements_once(monkeypatch):
-    _, spectral, _, ops = conformal_setup(12, "cos(2*pi*x) + 0.3*cos(4*pi*y)")
-    calls = []
-    original = perturb.matrix_elements
+def test_corrections_factor_once_per_group(monkeypatch):
+    # a smooth random field splits every group at first order, so stage 2
+    # never runs: one bordered factorization per group and no element matrix
+    pair, spectral, _, _ = conformal_setup(12, "0", n_modes=10)
+    f1 = smooth_random_field(pair.surface, 3)
+    ops = conformal_operators(
+        pair, ConformalPerturbation(side=PerturbationSide.INVERSE_METRIC, f1=f1)
+    )
+    calls = {"group": 0, "elements": 0}
+    solve, elements = perturb._group_solve, perturb.matrix_elements
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted_solve(*args):
+        calls["group"] += 1
+        return solve(*args)
 
-    monkeypatch.setattr(perturb, "matrix_elements", counted)
-    compute_corrections(spectral, ops)
-    assert len(calls) == 1
+    def counted_elements(*args):
+        calls["elements"] += 1
+        return elements(*args)
+
+    monkeypatch.setattr(perturb, "_group_solve", counted_solve)
+    monkeypatch.setattr(perturb, "matrix_elements", counted_elements)
+    report = compute_corrections(spectral, ops)
+    assert report.n_modes == 13
+    assert calls == {"group": len(spectral.degeneracy_groups), "elements": 0}
 
 
 def test_corrections_lambda2_is_second_order():
@@ -246,27 +267,30 @@ def test_corrections_lambda2_is_second_order():
     assert np.array_equal(report.lambda2, expected)
 
 
-def test_truncation_tail_bounds_missing_sum():
+def test_window_matches_full_basis():
+    # the bordered solves sum over every mode outside each group, so a
+    # 30-mode window reproduces the full-basis divided sums
     pair, full_spectral, _, ops = conformal_setup(10, "cos(2*pi*x)")
-    full = compute_corrections(full_spectral, ops)
-    truncated_spectral = eigen.solve(pair, 30)
-    trunc_ops = conformal_operators(
-        pair,
-        ConformalPerturbation(
-            side=PerturbationSide.INVERSE_METRIC,
-            f1=field_from_expression(pair.surface, "cos(2*pi*x)"),
-        ),
-    )
-    truncated = compute_corrections(truncated_spectral, trunc_ops)
-    assert truncated.truncation_modes == 30
-    n = 13
-    gap = np.abs(full.lambda2[:n] - truncated.lambda2[:n])
-    slack = 1e-9 * (1.0 + np.abs(full.lambda0[:n])) ** 2
-    assert np.all(gap <= truncated.tail_estimates[:n] + slack)
-    # untruncated run reports negligible tails
-    assert np.all(
-        full.tail_estimates <= 1e-8 * (1.0 + np.abs(full.lambda0)) ** 2
-    )
+    _, lambda1, lambda2, coeffs = full_basis_corrections(full_spectral, ops)
+    window = eigen.solve_window(pair, 30)
+    report = compute_corrections(window, ops)
+    n = report.n_modes
+    assert n >= 30
+    scale = 1.0 + np.abs(full_spectral.eigenvalues[:n])
+    assert np.all(np.abs(report.lambda1 - lambda1[:n]) <= 1e-12 * scale)
+    assert np.all(np.abs(report.lambda2 - lambda2[:n]) <= 1e-12 * scale**2)
+
+
+def test_cut_window_is_refused():
+    # 6 modes of the 12 x 12 torus end inside the level of modes 5-8
+    pair, _, _, ops = conformal_setup(12, "cos(2*pi*x)", n_modes=6)
+    raw = eigen.solve(pair, 9)
+    for spectral in (eigen.solve(pair, 6), raw):
+        with pytest.raises(ModeCountError, match="may cut a degeneracy group"):
+            compute_corrections(spectral, ops)
+        with pytest.raises(ModeCountError):
+            second_order(spectral, ops)
+    assert compute_corrections(eigen.solve_window(pair, 6), ops).n_modes == 9
 
 
 # ------------------------------------------------------------ special case QM
@@ -283,8 +307,8 @@ def test_qm_special_case_laplacian():
 def test_qm_special_case_zero():
     _, spectral, _, _ = conformal_setup(12, "0", n_modes=6)
     lam1, lam2 = qm_special_case(spectral, np.zeros((144, 144)))
-    assert np.array_equal(lam1, np.zeros(6))
-    assert np.array_equal(lam2, np.zeros(6))
+    assert np.array_equal(lam1, np.zeros(spectral.n_modes))
+    assert np.array_equal(lam2, np.zeros(spectral.n_modes))
 
 
 def test_qm_special_case_symmetry_checked():
@@ -338,16 +362,14 @@ def test_g_independence_and_normalization(rng):
         other = compute_corrections(spectral, hacked)
         assert np.array_equal(base.lambda1, other.lambda1)
         assert np.array_equal(base.lambda2, other.lambda2)
-        off_base = base.psi1_coeffs - np.diag(np.diag(base.psi1_coeffs))
-        off_other = other.psi1_coeffs - np.diag(np.diag(other.psi1_coeffs))
-        assert np.array_equal(off_base, off_other)
+        assert np.array_equal(base.psi1_orthogonal, other.psi1_orthogonal)
 
         # normalization: <psi0, M psi1> + 1/2 <psi0, G1 psi0> = 0, in the
-        # adapted basis the coefficients refer to
+        # adapted basis psi1 refers to
         adapted = adapt_degenerate_basis(spectral, hacked)
         psi = adapted.eigenvectors
         for n in range(0, 12, 3):
-            psi1 = psi @ other.psi1_coeffs[:, n]
+            psi1 = other.psi1_orthogonal[:, n] + other.psi1_normalization[n] * psi[:, n]
             lhs = psi[:, n] @ (pair.mass * psi1)
             g_term = 0.5 * psi[:, n] @ (pair.mass * hacked.g1 * psi[:, n])
             assert abs(lhs + g_term) <= 1e-12
@@ -359,7 +381,7 @@ def test_psi1_diagonal_matches_normalization(rng):
     psi = spectral.eigenvectors
     for n in range(10):
         expected = -0.5 * psi[:, n] @ (pair.mass * ops.g1 * psi[:, n])
-        assert report.psi1_coeffs[n, n] == pytest.approx(expected, abs=1e-13)
+        assert report.psi1_normalization[n] == pytest.approx(expected, abs=1e-13)
 
 
 # ----------------------------------------------------------- scaling behavior
@@ -406,12 +428,11 @@ def fabricated_report():
         lambda0=np.array([1.0, 1.0, 1.0, 1.0]),
         lambda1=np.array([-1.0, -1.0, 0.0, 2.0]),
         lambda2=np.array([5.0, 7.0, 0.0, 0.0]),
-        psi1_coeffs=np.zeros((4, 4)),
+        psi1_orthogonal=np.zeros((4, 4)),
+        psi1_normalization=np.zeros(4),
         basis_rotations={},
         degeneracy_groups=((0, 1, 2, 3),),
         tol_deg=1e-8,
-        tail_estimates=np.zeros(4),
-        truncation_warnings=np.zeros(4, dtype=bool),
     )
 
 

@@ -1,0 +1,95 @@
+"""Property test: the windowed bordered solves against the full-basis oracle.
+
+Random small tori (random periods) and jittered icospheres, random smooth
+fields on both perturbation sides and random window sizes.  The package
+solves only a closed window; the oracle in reference.py solves every mode
+and forms the divided sums.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isospec import eigen
+from isospec.assembly import assemble_base, conformal_operators
+from isospec.perturb import adapt_degenerate_basis, compute_corrections
+from isospec.selftest import smooth_random_field
+from isospec.surface import (
+    ConformalPerturbation,
+    PerturbationSide,
+    ScalarField,
+    icosphere_arrays,
+    make_torus,
+    mesh_from_arrays,
+)
+from reference import full_basis_corrections
+
+
+def smooth_field(surface, rng, amplitude):
+    """Low Fourier modes on a torus, a quadratic in x, y, z on a mesh; max |f| = amplitude."""
+    if surface.vertices is None:
+        return smooth_random_field(surface, int(rng.integers(2**31)), amplitude=amplitude)
+    x, y, z = surface.vertices.T
+    monomials = np.stack([x, y, z, x * y, y * z, z * x, x * x - y * y, z * z])
+    values = rng.standard_normal(monomials.shape[0]) @ monomials
+    return ScalarField(surface, amplitude * values / np.abs(values).max())
+
+
+@st.composite
+def problems(draw):
+    """(pair, ops, n_modes) of a random surface, field pair and window."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        n = draw(st.integers(6, 12))
+        lx, ly = draw(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)))
+        surface = make_torus(n, n, lx, ly)
+    else:
+        vertices, faces = icosphere_arrays(draw(st.integers(1, 2)))
+        radii = 1.0 + 0.05 * rng.uniform(-1.0, 1.0, (vertices.shape[0], 1))
+        surface = mesh_from_arrays(vertices * radii, faces)
+    side = draw(st.sampled_from(list(PerturbationSide)))
+    f1 = smooth_field(surface, rng, 0.5)
+    f2 = smooth_field(surface, rng, 0.3) if side is PerturbationSide.INVERSE_METRIC else None
+    pair = assemble_base(surface)
+    ops = conformal_operators(pair, ConformalPerturbation(side=side, f1=f1, f2=f2))
+    return pair, ops, draw(st.integers(1, min(20, pair.node_count)))
+
+
+# Over these 150 examples the scaled gaps reach 3.2e-12 (lambda1),
+# 2.0e-11 (lambda2), 1.5e-11 (orthogonal part) and 3.7e-13 (normalization
+# sums); the bounds below leave a factor of 5 or more.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(problems())
+def test_window_corrections_match_full_basis_oracle(problem):
+    pair, ops, n_modes = problem
+    full = eigen.solve(pair, pair.node_count)
+    adapted_full, lambda1, lambda2, coeffs = full_basis_corrections(full, ops)
+
+    window = eigen.solve_window(pair, n_modes)
+    report = compute_corrections(window, ops)
+    w = report.n_modes
+    assert n_modes <= w
+    assert np.all(np.abs(report.lambda1 - lambda1[:w]) <= 1e-10 * (1.0 + np.abs(lambda1[:w])))
+    assert np.all(np.abs(report.lambda2 - lambda2[:w]) <= 1e-10 * (1.0 + np.abs(lambda2[:w])))
+
+    # psi1 of a branch is defined up to rotations among branches whose
+    # (lambda1, lambda2) labels tie, so psi1 is compared per degeneracy group
+    # in forms no such rotation changes: the map v -> X (Psi^T M0 v) of the
+    # M0-orthogonal parts X and the sum of the normalization coefficients
+    psi = adapt_degenerate_basis(window, ops).eigenvectors
+    psi_all = adapted_full.eigenvectors
+    off_group = coeffs - np.diag(np.diag(coeffs))
+    orthogonal = psi_all @ off_group[:, :w]
+    weight = pair.mass[:, None]
+    for members in report.degeneracy_groups:
+        g = slice(members[0], members[-1] + 1)
+        ours = report.psi1_orthogonal[:, g] @ (weight * psi[:, g]).T
+        theirs = orthogonal[:, g] @ (weight * psi_all[:, g]).T
+        assert np.abs(ours - theirs).max() <= 1e-9 * (1.0 + np.abs(theirs).max())
+        total = np.diag(coeffs)[g].sum()
+        assert abs(report.psi1_normalization[g].sum() - total) <= 1e-11 * (1.0 + abs(total))
+
+    again = compute_corrections(eigen.solve_window(pair, n_modes), ops)
+    for name in ("lambda0", "lambda1", "lambda2", "psi1_orthogonal", "psi1_normalization"):
+        assert np.array_equal(getattr(again, name), getattr(report, name)), name
