@@ -248,8 +248,9 @@ def load_config(command, args):
     )
     if config.basis_size < 1:
         raise ConfigError(f"{command}: basis_size must be at least 1")
-    if config.kernel_tol <= 0:
-        raise ConfigError(f"{command}: kernel_tol must be positive")
+    # a relative threshold at or above 1 puts every singular value in the kernel
+    if not 0.0 < config.kernel_tol < 1.0:
+        raise ConfigError(f"{command}: kernel_tol must lie in (0, 1)")
     if not all(0.0 <= tau <= 1.0 for tau in config.tau_grid):
         raise ConfigError(f"{command}: tau_grid entries must lie in [0, 1]")
     return config

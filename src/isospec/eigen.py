@@ -12,8 +12,10 @@ Two paths, chosen from the problem size alone:
   mode count grows until the degeneracy group at the cut is closed, and
   Sylvester's law of inertia, read off symmetric LDL^T factorizations of
   K - s M0, certifies that no eigenvalue lies below the shift and that
-  exactly the returned modes lie below the gap after the cut.  Anything
-  the path cannot certify falls back to dense.
+  exactly the modes through that group lie below the gap after it.  This
+  one certified run is the closed window solve_window returns; solve
+  keeps its first n_modes.  Anything the path cannot certify falls back
+  to dense.
 
 Both paths are deterministic: identical inputs give bit-identical
 outputs.
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -69,6 +72,11 @@ class SpectralData:
     basis_rotations : dict | None
         Per-group orthogonal rotations recorded by degenerate adaptation;
         None for a raw solve.
+    group_solves : tuple | None
+        (ops, {gid: (X, M2)}) recorded by degenerate adaptation: the
+        bordered solves of the groups its second stage factored, rotated
+        into the adapted basis, so second order reuses them for the same
+        operators; None for a raw solve.
     closed : bool
         Set by solve_window: no degeneracy group is cut at the end.  Any
         other spectrum short of every mode may end inside a group.
@@ -80,6 +88,7 @@ class SpectralData:
     degeneracy_groups: tuple
     tol_deg: float
     basis_rotations: dict | None = None
+    group_solves: tuple | None = field(default=None, repr=False)
     closed: bool = False
 
     @property
@@ -150,6 +159,23 @@ def solve(pair, n_modes, tol_deg=DEFAULT_TOL_DEG):
     M0-orthonormality, per-mode residuals, and (for pairs whose stiffness
     annihilates constants) that the ground eigenvalue is zero.
     """
+    return _solve(pair, n_modes, tol_deg, window=False)
+
+
+def solve_window(pair, n_modes, tol_deg=DEFAULT_TOL_DEG):
+    """The lowest modes through the end of the degeneracy group of mode n_modes - 1.
+
+    The sparse path already closes that group and certifies the count by
+    inertia, so its one certified run is the window.  The dense path sees
+    a group close only below its last mode, so it asks for one mode more
+    than the window and doubles until the group closes or it holds every
+    mode.  The result is marked closed.
+    """
+    return _solve(pair, n_modes, tol_deg, window=True)
+
+
+def _solve(pair, n_modes, tol_deg, window):
+    """The one solve behind solve (window=False) and solve_window (window=True)."""
     n = pair.node_count
     if not 1 <= n_modes <= n:
         raise ModeCountError(f"n_modes={n_modes} outside [1, {n}]")
@@ -158,24 +184,41 @@ def solve(pair, n_modes, tol_deg=DEFAULT_TOL_DEG):
     if np.any(pair.mass <= 0.0):
         raise NumericalBreakdownError("mass diagonal has nonpositive entries")
 
+    counts = Counter()
+    solved = None
     if _sparse_pays(n, n_modes + 1):
         try:
-            values, vectors, k_ask = _solve_sparse(pair, n_modes, tol_deg)
+            solved, vectors, k_ask = _solve_sparse(pair, n_modes, tol_deg, counts)
             path = f"sparse, k_ask={k_ask}"
         except _SparseFallback as exc:
-            values, vectors = _solve_dense(pair, n_modes)
             path = f"dense, sparse fallback: {exc}"
     else:
-        values, vectors = _solve_dense(pair, n_modes)
         path = "dense"
-    vectors = _fix_signs(np.ascontiguousarray(vectors))
+    if solved is not None:
+        stop = solved.shape[0]  # the sparse path returns the closed window
+    else:
+        k = min(n_modes + 1, n) if window else n_modes
+        while True:
+            solved, vectors = _solve_dense(pair, k)
+            stop = complete_group_count(degeneracy_partition(solved, tol_deg), n_modes)
+            if not window or stop < k or k == n:
+                break
+            k = min(2 * k, n)
+    keep = stop if window else n_modes
+    values = solved[:keep]
+    vectors = _fix_signs(np.ascontiguousarray(vectors[:, :keep]))
 
     _check_invariants(pair, values, vectors)
     groups = degeneracy_partition(values, tol_deg)
     logger.debug(
-        "solved %d modes (%s), %d degeneracy groups, lambda range [%g, %g]",
-        n_modes,
+        "solved %d modes (%s), %d requested, %d returned, %d Lanczos runs, "
+        "%d inertia factorizations, %d degeneracy groups, lambda range [%g, %g]",
+        solved.shape[0],
         path,
+        n_modes,
+        keep,
+        counts["lanczos"],
+        counts["inertia"],
         len(groups),
         values[0],
         values[-1],
@@ -188,33 +231,7 @@ def solve(pair, n_modes, tol_deg=DEFAULT_TOL_DEG):
         eigenvectors=vectors,
         degeneracy_groups=groups,
         tol_deg=tol_deg,
-    )
-
-
-def solve_window(pair, n_modes, tol_deg=DEFAULT_TOL_DEG):
-    """The lowest modes through the end of the degeneracy group of mode n_modes - 1.
-
-    A group can close only below the last solved mode, so the solve asks
-    for one mode more than the window and doubles until it sees the group
-    close or holds every mode.
-    """
-    n = pair.node_count
-    if not 1 <= n_modes <= n:
-        raise ModeCountError(f"n_modes={n_modes} outside [1, {n}]")
-    k = min(n_modes + 1, n)
-    while True:
-        spectral = solve(pair, k, tol_deg)
-        n_window = complete_group_count(spectral.degeneracy_groups, n_modes)
-        if n_window < k or k == n:
-            break
-        k = min(2 * k, n)
-    groups = tuple(g for g in spectral.degeneracy_groups if g[-1] < n_window)
-    return replace(
-        spectral,
-        eigenvalues=spectral.eigenvalues[:n_window],
-        eigenvectors=spectral.eigenvectors[:, :n_window],
-        degeneracy_groups=groups,
-        closed=True,
+        closed=window,
     )
 
 
@@ -239,12 +256,15 @@ class _SparseFallback(Exception):
     """The sparse path cannot deliver a certified answer; use dense."""
 
 
-def _solve_sparse(pair, n_modes, tol_deg):
-    """Lowest n_modes pairs by shift-invert Lanczos plus Rayleigh-Ritz.
+def _solve_sparse(pair, n_modes, tol_deg, counts):
+    """The closed window of n_modes by shift-invert Lanczos plus Rayleigh-Ritz.
 
-    Returns (values, vectors, k_ask), where k_ask is the number of modes
-    the last Lanczos run computed: at least one more than n_modes, grown
-    until the degeneracy group at the cut ends below the last of them.
+    Returns (values, vectors, k_ask): the `stop` lowest pairs, through the
+    end of the degeneracy group of mode n_modes - 1, and the number of
+    modes the last Lanczos run computed, grown from n_modes + 1 until that
+    group ends below the last of them.  Inertia counts certify that no
+    eigenvalue lies below the shift and exactly `stop` below the gap after
+    the group.  counts tallies the Lanczos runs and inertia factorizations.
     Raises _SparseFallback when ARPACK fails, the cut cannot be closed
     below the crossover, or an inertia count disagrees.
     """
@@ -256,6 +276,7 @@ def _solve_sparse(pair, n_modes, tol_deg):
     sigma = -SPARSE_SHIFT_REL * max(
         float(np.max(np.abs(stiffness.diagonal()) / pair.mass)), 1.0
     )
+    counts["inertia"] += 1
     lu, below = _ldlt_inertia(stiffness - sigma * mass)
     if below != 0:
         raise _SparseFallback(f"inertia count {below} below the shift {sigma:.3e}")
@@ -264,6 +285,7 @@ def _solve_sparse(pair, n_modes, tol_deg):
 
     k_ask = n_modes + 1
     while True:
+        counts["lanczos"] += 1
         try:
             _, basis = spla.eigsh(
                 stiffness, k_ask, M=mass, sigma=sigma, which="LM",
@@ -284,10 +306,11 @@ def _solve_sparse(pair, n_modes, tol_deg):
             # eigenvalue; the gap after the cut's group must have exactly
             # `stop` eigenvalues below it
             mu = 0.5 * (values[stop - 1] + values[stop])
+            counts["inertia"] += 1
             _, below = _ldlt_inertia(stiffness - mu * mass)
             if below == stop:
-                vectors = np.einsum("ia,ab->ib", basis, coeffs[:, :n_modes])
-                return values[:n_modes], vectors, k_ask
+                vectors = np.einsum("ia,ab->ib", basis, coeffs[:, :stop])
+                return values[:stop], vectors, k_ask
             reason = f"inertia count {below} below {mu:.6e}, found {stop}"
         else:
             reason = f"cut at {n_modes} not closed"

@@ -193,8 +193,11 @@ def obstruction_map(spectral, basis_fields, n_modes, kernel_tol=DEFAULT_KERNEL_T
     tmat = np.column_stack(columns)
     singular = np.linalg.svd(tmat, compute_uv=False)
     norms = np.sqrt(np.diag(gram))
-    threshold = max(kernel_tol * (singular[0] if singular.size else 0.0),
-                    1e-10 * norms.max())
+    # a kernel_tol of 1 or more admits every singular value, which the
+    # threshold still does when its product overflows to inf
+    with np.errstate(over="ignore"):
+        threshold = max(kernel_tol * (singular[0] if singular.size else 0.0),
+                        1e-10 * norms.max())
     kernel_dim = int(np.sum(singular <= threshold))
     kernel_dim += fmat.shape[1] - singular.size
     logger.info(

@@ -127,9 +127,34 @@ def _group_solve(ops, psi, lam, members):
             f"bordered system of modes {members[0]}-{members[-1]} is singular"
         ) from exc
     x = lu.solve(rhs)[:n]
+    _check_orthogonal(border, x, members)
     m2 = ops.apply_h1_adjoint(psi_g).T @ (mass[:, None] * x)
     m2 += psi_g.T @ (mass[:, None] * ops.apply_h2(psi_g))
     return x, m2
+
+
+def _check_orthogonal(border, x, members):
+    """Refuse a bordered solution that is not M0-orthogonal to its group.
+
+    The border rows demand Psi_g^T M0 X = 0.  Where the border is tiny next
+    to lambda_g M0 - K (a torus of period 1e-20, or one whose couplings
+    along an axis vanish), rounding in the block can outweigh it, and the
+    factorization returns an X that violates the constraint and a wrong
+    lambda2.  The measure is a cosine, at most 1: below 1e-13 on sound
+    solves, above 0.1 on these.
+    """
+    x_max = np.abs(x).max()
+    if not 0.0 < x_max < np.inf:  # a zero X is exact; overflow is caught later
+        return
+    b, y = border / np.abs(border).max(), x / x_max
+    cosine = np.abs(b.T @ y).max() / (
+        np.linalg.norm(b, axis=0).max() * np.linalg.norm(y, axis=0).max()
+    )
+    if not cosine <= 1e-8:
+        raise NumericalBreakdownError(
+            f"bordered solve of modes {members[0]}-{members[-1]} is not "
+            f"M0-orthogonal to its group (cosine {cosine:.3e})"
+        )
 
 
 def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
@@ -142,12 +167,14 @@ def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
     first-order ties.  Branches end up ordered by (first-order, then
     second-order) correction within each group.  Returns a new SpectralData
     with rotations recorded per group; singleton groups are untouched and
-    not recorded.
+    not recorded.  The bordered solves of stage 2 are recorded too, rotated
+    into the adapted basis, so second order does not factor those groups
+    again.
     """
     groups = spectral.degeneracy_groups
     lam = spectral.eigenvalues
     psi = spectral.eigenvectors.copy()
-    rotations = {}
+    rotations, solves = {}, {}
     for gid, members in enumerate(groups):
         if len(members) == 1:
             continue
@@ -160,22 +187,31 @@ def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
         tol = tie_tol * (1.0 + abs(float(np.mean(lam[g]))))
         runs = [run for run in _tie_runs(d, tol) if len(run) > 1]
         if runs:
-            m2 = _group_solve(ops, psi, lam, members)[1]
-            m2 = 0.5 * (m2 + m2.T)
+            x, m2 = _group_solve(ops, psi, lam, members)
+            m2_sym = 0.5 * (m2 + m2.T)
+            stage2 = np.eye(len(members))
         for run in runs:
-            _, r2 = _ascending_eigensystem(m2[np.ix_(run, run)])
+            _, r2 = _ascending_eigensystem(m2_sym[np.ix_(run, run)])
             cols = members[0] + np.array(run)
             psi[:, cols] = psi[:, cols] @ r2
             r[:, run] = r[:, run] @ r2
+            stage2[np.ix_(run, run)] = r2
         # deterministic signs, folded into the recorded rotation
         fixed = _fix_signs(psi[:, g])
-        r = r * np.where(np.einsum("ij,ij->j", fixed, psi[:, g]) >= 0.0, 1.0, -1.0)
+        signs = np.where(np.einsum("ij,ij->j", fixed, psi[:, g]) >= 0.0, 1.0, -1.0)
+        r = r * signs
         psi[:, g] = fixed
         rotations[gid] = r
+        if runs:
+            # X and M2 rotate with the basis: X R and R^T M2 R
+            stage2 = stage2 * signs
+            solves[gid] = (x @ stage2, stage2.T @ m2 @ stage2)
 
     _check_adapted(psi, lam, ops, groups, rotations)
     psi.flags.writeable = False
-    return replace(spectral, eigenvectors=psi, basis_rotations=rotations)
+    return replace(
+        spectral, eigenvectors=psi, basis_rotations=rotations, group_solves=(ops, solves)
+    )
 
 
 def _ascending_eigensystem(block):
@@ -252,14 +288,22 @@ def _require_closed(spectral):
 
 
 def _second_order(spectral, ops):
-    """(lambda2, psi1_orthogonal) from one bordered solve per group."""
+    """(lambda2, psi1_orthogonal) from one bordered solve per group.
+
+    Groups the adaptation already solved for these operators are not
+    factored again.
+    """
     lam = spectral.eigenvalues
     psi = spectral.eigenvectors
+    solved = {}
+    if spectral.group_solves is not None and spectral.group_solves[0] is ops:
+        solved = spectral.group_solves[1]
     lambda2 = np.empty(spectral.n_modes)
     orthogonal = np.empty(psi.shape)
-    for members in spectral.degeneracy_groups:
+    for gid, members in enumerate(spectral.degeneracy_groups):
         sl = slice(members[0], members[-1] + 1)
-        orthogonal[:, sl], m2 = _group_solve(ops, psi, lam, members)
+        x, m2 = solved[gid] if gid in solved else _group_solve(ops, psi, lam, members)
+        orthogonal[:, sl] = x
         lambda2[sl] = np.diag(m2)
     return lambda2, orthogonal
 
@@ -270,8 +314,7 @@ def compute_corrections(spectral, ops):
 
     spectral must not cut a degeneracy group at its end: a solve of every
     mode, or a window from eigen.solve_window.  Each group costs one sparse
-    factorization (two where stage 2 of the adaptation runs), whatever the
-    number of modes outside the window.
+    factorization, whatever the number of modes outside the window.
     """
     _require_closed(spectral)
     adapted = adapt_degenerate_basis(spectral, ops)

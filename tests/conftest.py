@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from isospec import eigen, perturb
 from isospec.assembly import assemble_base
 from isospec.surface import icosphere_arrays, make_torus
 
@@ -80,3 +81,38 @@ def icosphere2_path(tmp_path_factory):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def solver_counts(monkeypatch):
+    """Counts calls into the solver internals while a test runs.
+
+    "sparse" counts Lanczos solves (eigen._solve_sparse), "inertia" the
+    LDL^T inertia factorizations, "bordered" the bordered factorizations
+    of degeneracy groups (perturb._group_solve), and "modes" lists the
+    modes each call of the solve shared by eigen.solve and
+    eigen.solve_window returned.
+    """
+    counts = {"sparse": 0, "inertia": 0, "bordered": 0, "modes": []}
+
+    def count(owner, name, key):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(eigen, "_solve_sparse", "sparse")
+    count(eigen, "_ldlt_inertia", "inertia")
+    count(perturb, "_group_solve", "bordered")
+    shared = eigen._solve
+
+    def solve(*args, **kwargs):
+        spectral = shared(*args, **kwargs)
+        counts["modes"].append(spectral.n_modes)
+        return spectral
+
+    monkeypatch.setattr(eigen, "_solve", solve)
+    return counts

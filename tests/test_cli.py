@@ -76,19 +76,14 @@ def test_corrections_zero_field_and_group_extension(tmp_path):
     }
 
 
-@pytest.mark.parametrize("command", ["corrections", "metric-probe"])
-def test_second_order_commands_solve_windows(tmp_path, monkeypatch, command):
-    real = eigen.solve
-    asked = []
-
-    def counted(pair, n_modes, tol_deg=eigen.DEFAULT_TOL_DEG):
-        asked.append(n_modes)
-        return real(pair, n_modes, tol_deg)
-
-    monkeypatch.setattr(eigen, "solve", counted)
-    config = write_config(tmp_path, torus_config(nx=24, f1="0.2*cos(2*pi*x)*sin(2*pi*y)"))
+@pytest.mark.parametrize("command", ["corrections", "metric-probe", "obstruction"])
+def test_second_order_commands_solve_windows(tmp_path, solver_counts, command):
+    # every eigensolve, windowed or not, goes through the shared solve;
+    # none of them may return the full spectrum
+    extra = {} if command == "obstruction" else {"f1": "0.2*cos(2*pi*x)*sin(2*pi*y)"}
+    config = write_config(tmp_path, torus_config(nx=24, **extra))
     assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
-    assert asked and max(asked) < 24 * 24
+    assert solver_counts["modes"] and max(solver_counts["modes"]) < 24 * 24
 
 
 def test_obstruction_end_to_end(tmp_path):
@@ -338,6 +333,17 @@ def test_extreme_float_is_config_error(tmp_path, capsys, command, surface, extra
     config = write_config(tmp_path, data)
     assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 2
     assert only_error(capsys)["error"] == error
+
+
+@pytest.mark.parametrize("kernel_tol", [1.0, 1e308])
+def test_kernel_tol_at_or_above_one_is_config_error(tmp_path, capsys, kernel_tol):
+    # a relative threshold of 1 or more would put every singular value in
+    # the kernel; 1e308 overflowed the threshold to inf and warned
+    config = write_config(tmp_path, torus_config(nx=8, kernel_tol=kernel_tol))
+    assert cli.main(["obstruction", "--config", config, "--out", str(tmp_path)]) == 2
+    record = only_error(capsys)
+    assert record["error"] == "ConfigError"
+    assert "kernel_tol" in record["message"]
 
 
 @pytest.mark.parametrize("command", ["corrections", "metric-probe"])

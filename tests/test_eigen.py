@@ -291,6 +291,28 @@ def test_solve_window_closes_the_cut_group():
             eigen.solve_window(pair, bad)
 
 
+def test_solve_window_is_one_sparse_solve(pair48, dense48, solver_counts, caplog):
+    # 10 modes of the 48 x 48 torus end inside the level of modes 9-12:
+    # one Lanczos solve grows k_ask 11 -> 13 -> 17, closes that level and
+    # certifies it with its two inertia counts; that run is the window
+    caplog.set_level(logging.DEBUG, logger="isospec.eigen")
+    window = eigen.solve_window(pair48, 10)
+    assert solver_counts["sparse"] == 1 and solver_counts["inertia"] == 2
+    assert (
+        "solved 13 modes (sparse, k_ask=17), 10 requested, 13 returned, "
+        "3 Lanczos runs, 2 inertia factorizations" in caplog.text
+    )
+    assert window.closed and window.n_modes == 13
+    assert scaled_gap(window.eigenvalues, dense48[0][:13]) <= 1e-12
+    again = eigen.solve_window(pair48, 10)
+    assert np.array_equal(window.eigenvalues, again.eigenvalues)
+    assert np.array_equal(window.eigenvectors, again.eigenvectors)
+    # eigen.solve takes the same run and keeps its first 10 modes
+    head = eigen.solve(pair48, 10)
+    assert np.array_equal(head.eigenvalues, window.eigenvalues[:10])
+    assert np.array_equal(head.eigenvectors, window.eigenvectors[:, :10])
+
+
 _DIGEST_SCRIPT = """
 import hashlib
 from isospec import eigen

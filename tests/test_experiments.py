@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,19 @@ def test_obstruction_single_zero_mean_field(torus12, spectral12):
     assert report.singular_values.shape == (1,)
     assert report.singular_values[0] <= 1e-12
     assert report.kernel_dim == 1
+
+
+def test_obstruction_threshold_overflow_is_silent(torus12, spectral12):
+    # kernel_tol * sigma_max overflows to inf: every singular value is in
+    # the kernel, as for any kernel_tol >= 1, and no warning is raised
+    basis = [
+        field_from_expression(torus12, f"4*{mode}")
+        for mode in ("cos(2*pi*x)", "sin(2*pi*y)", "cos(2*pi*(x+y))")
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = obstruction_map(spectral12, basis, n_modes=5, kernel_tol=1e308)
+    assert report.kernel_dim == 3
 
 
 def test_obstruction_fourier_basis_full_rank():

@@ -10,7 +10,7 @@ from isospec.assembly import (
     conformal_operators,
     exact_perturbed_pair,
 )
-from isospec.errors import ModeCountError, SmallGapError
+from isospec.errors import ModeCountError, NumericalBreakdownError, SmallGapError
 from isospec.perturb import (
     CorrectionReport,
     adapt_degenerate_basis,
@@ -232,7 +232,7 @@ def test_second_order_matches_finite_difference():
     assert np.abs(report.lambda2[:13] - fd2).max() <= 1e-3 * scale.max()
 
 
-def test_corrections_factor_once_per_group(monkeypatch):
+def test_corrections_factor_once_per_group(monkeypatch, solver_counts):
     # a smooth random field splits every group at first order, so stage 2
     # never runs: one bordered factorization per group and no element matrix
     pair, spectral, _, _ = conformal_setup(12, "0", n_modes=10)
@@ -240,22 +240,59 @@ def test_corrections_factor_once_per_group(monkeypatch):
     ops = conformal_operators(
         pair, ConformalPerturbation(side=PerturbationSide.INVERSE_METRIC, f1=f1)
     )
-    calls = {"group": 0, "elements": 0}
-    solve, elements = perturb._group_solve, perturb.matrix_elements
-
-    def counted_solve(*args):
-        calls["group"] += 1
-        return solve(*args)
+    elements = []
+    real = perturb.matrix_elements
 
     def counted_elements(*args):
-        calls["elements"] += 1
-        return elements(*args)
+        elements.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(perturb, "_group_solve", counted_solve)
     monkeypatch.setattr(perturb, "matrix_elements", counted_elements)
     report = compute_corrections(spectral, ops)
     assert report.n_modes == 13
-    assert calls == {"group": len(spectral.degeneracy_groups), "elements": 0}
+    assert solver_counts["bordered"] == len(spectral.degeneracy_groups)
+    assert elements == []
+
+
+def test_tied_groups_factor_once(pair16, solver_counts):
+    # the smooth field of criterion 4 cannot couple the high levels of the
+    # full 16 x 16 spectrum: 26 of its 41 groups tie at first order, and the
+    # bordered solves of their stage-2 adaptation serve second order too
+    spectral = eigen.solve(pair16, pair16.node_count)
+    f1 = smooth_random_field(pair16.surface, 5)
+    ops = conformal_operators(
+        pair16, ConformalPerturbation(side=PerturbationSide.INVERSE_METRIC, f1=f1)
+    )
+    report = compute_corrections(spectral, ops)
+    assert solver_counts["bordered"] == len(spectral.degeneracy_groups) == 41
+    adapted, lambda1, lambda2, _ = full_basis_corrections(spectral, ops)
+    assert len(adapted.group_solves[1]) == 26
+    scale = 1.0 + np.abs(lambda2)
+    assert np.all(np.abs(report.lambda2 - lambda2) <= 1e-10 * scale)
+    assert np.array_equal(report.lambda1, lambda1)
+
+
+def test_bordered_solve_must_stay_orthogonal_to_its_group():
+    # lambda2 scales as 1 / L^2 with the period L of the torus when the field
+    # is fixed in units of L.  At L = 1e-12 the bordered solves hold that; at
+    # L = 1e-20 the border (of scale L) drowns in the rounding of
+    # lambda_g M0 - K (of scale 1), and the solve must refuse rather than
+    # return lambda2 off by order 1
+    def corrections(period):
+        surface = make_torus(8, 8, period, period)
+        pair = assemble_base(surface)
+        f1 = field_from_expression(surface, f"0.3*x/{period!r}")
+        ops = conformal_operators(
+            pair, ConformalPerturbation(side=PerturbationSide.INVERSE_METRIC, f1=f1)
+        )
+        return compute_corrections(eigen.solve_window(pair, 10), ops)
+
+    unit = corrections(1.0)
+    small = corrections(1e-12)
+    scale = 1.0 + np.abs(unit.lambda2)
+    assert np.all(np.abs(small.lambda2 * 1e-24 - unit.lambda2) <= 1e-12 * scale)
+    with pytest.raises(NumericalBreakdownError, match="not M0-orthogonal"):
+        corrections(1e-20)
 
 
 def test_corrections_lambda2_is_second_order():
