@@ -72,11 +72,6 @@ class SpectralData:
     basis_rotations : dict | None
         Per-group orthogonal rotations recorded by degenerate adaptation;
         None for a raw solve.
-    group_solves : tuple | None
-        (ops, {gid: (X, M2)}) recorded by degenerate adaptation: the
-        bordered solves of the groups its second stage factored, rotated
-        into the adapted basis, so second order reuses them for the same
-        operators; None for a raw solve.
     closed : bool
         Set by solve_window: no degeneracy group is cut at the end.  Any
         other spectrum short of every mode may end inside a group.
@@ -88,7 +83,6 @@ class SpectralData:
     degeneracy_groups: tuple
     tol_deg: float
     basis_rotations: dict | None = None
-    group_solves: tuple | None = field(default=None, repr=False)
     closed: bool = False
 
     @property

@@ -167,14 +167,12 @@ def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
     first-order ties.  Branches end up ordered by (first-order, then
     second-order) correction within each group.  Returns a new SpectralData
     with rotations recorded per group; singleton groups are untouched and
-    not recorded.  The bordered solves of stage 2 are recorded too, rotated
-    into the adapted basis, so second order does not factor those groups
-    again.
+    not recorded.
     """
     groups = spectral.degeneracy_groups
     lam = spectral.eigenvalues
     psi = spectral.eigenvectors.copy()
-    rotations, solves = {}, {}
+    rotations = {}
     for gid, members in enumerate(groups):
         if len(members) == 1:
             continue
@@ -187,31 +185,22 @@ def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
         tol = tie_tol * (1.0 + abs(float(np.mean(lam[g]))))
         runs = [run for run in _tie_runs(d, tol) if len(run) > 1]
         if runs:
-            x, m2 = _group_solve(ops, psi, lam, members)
-            m2_sym = 0.5 * (m2 + m2.T)
-            stage2 = np.eye(len(members))
+            m2 = _group_solve(ops, psi, lam, members)[1]
+            m2 = 0.5 * (m2 + m2.T)
         for run in runs:
-            _, r2 = _ascending_eigensystem(m2_sym[np.ix_(run, run)])
+            _, r2 = _ascending_eigensystem(m2[np.ix_(run, run)])
             cols = members[0] + np.array(run)
             psi[:, cols] = psi[:, cols] @ r2
             r[:, run] = r[:, run] @ r2
-            stage2[np.ix_(run, run)] = r2
         # deterministic signs, folded into the recorded rotation
         fixed = _fix_signs(psi[:, g])
-        signs = np.where(np.einsum("ij,ij->j", fixed, psi[:, g]) >= 0.0, 1.0, -1.0)
-        r = r * signs
+        r = r * np.where(np.einsum("ij,ij->j", fixed, psi[:, g]) >= 0.0, 1.0, -1.0)
         psi[:, g] = fixed
         rotations[gid] = r
-        if runs:
-            # X and M2 rotate with the basis: X R and R^T M2 R
-            stage2 = stage2 * signs
-            solves[gid] = (x @ stage2, stage2.T @ m2 @ stage2)
 
     _check_adapted(psi, lam, ops, groups, rotations)
     psi.flags.writeable = False
-    return replace(
-        spectral, eigenvectors=psi, basis_rotations=rotations, group_solves=(ops, solves)
-    )
+    return replace(spectral, eigenvectors=psi, basis_rotations=rotations)
 
 
 def _ascending_eigensystem(block):
@@ -288,22 +277,14 @@ def _require_closed(spectral):
 
 
 def _second_order(spectral, ops):
-    """(lambda2, psi1_orthogonal) from one bordered solve per group.
-
-    Groups the adaptation already solved for these operators are not
-    factored again.
-    """
+    """(lambda2, psi1_orthogonal) from one bordered solve per group."""
     lam = spectral.eigenvalues
     psi = spectral.eigenvectors
-    solved = {}
-    if spectral.group_solves is not None and spectral.group_solves[0] is ops:
-        solved = spectral.group_solves[1]
     lambda2 = np.empty(spectral.n_modes)
     orthogonal = np.empty(psi.shape)
-    for gid, members in enumerate(spectral.degeneracy_groups):
+    for members in spectral.degeneracy_groups:
         sl = slice(members[0], members[-1] + 1)
-        x, m2 = solved[gid] if gid in solved else _group_solve(ops, psi, lam, members)
-        orthogonal[:, sl] = x
+        orthogonal[:, sl], m2 = _group_solve(ops, psi, lam, members)
         lambda2[sl] = np.diag(m2)
     return lambda2, orthogonal
 
@@ -314,7 +295,8 @@ def compute_corrections(spectral, ops):
 
     spectral must not cut a degeneracy group at its end: a solve of every
     mode, or a window from eigen.solve_window.  Each group costs one sparse
-    factorization, whatever the number of modes outside the window.
+    factorization (two where stage 2 of the adaptation runs), whatever the
+    number of modes outside the window.
     """
     _require_closed(spectral)
     adapted = adapt_degenerate_basis(spectral, ops)

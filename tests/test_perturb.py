@@ -254,24 +254,6 @@ def test_corrections_factor_once_per_group(monkeypatch, solver_counts):
     assert elements == []
 
 
-def test_tied_groups_factor_once(pair16, solver_counts):
-    # the smooth field of criterion 4 cannot couple the high levels of the
-    # full 16 x 16 spectrum: 26 of its 41 groups tie at first order, and the
-    # bordered solves of their stage-2 adaptation serve second order too
-    spectral = eigen.solve(pair16, pair16.node_count)
-    f1 = smooth_random_field(pair16.surface, 5)
-    ops = conformal_operators(
-        pair16, ConformalPerturbation(side=PerturbationSide.INVERSE_METRIC, f1=f1)
-    )
-    report = compute_corrections(spectral, ops)
-    assert solver_counts["bordered"] == len(spectral.degeneracy_groups) == 41
-    adapted, lambda1, lambda2, _ = full_basis_corrections(spectral, ops)
-    assert len(adapted.group_solves[1]) == 26
-    scale = 1.0 + np.abs(lambda2)
-    assert np.all(np.abs(report.lambda2 - lambda2) <= 1e-10 * scale)
-    assert np.array_equal(report.lambda1, lambda1)
-
-
 def test_bordered_solve_must_stay_orthogonal_to_its_group():
     # lambda2 scales as 1 / L^2 with the period L of the torus when the field
     # is fixed in units of L.  At L = 1e-12 the bordered solves hold that; at
