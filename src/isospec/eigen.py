@@ -5,7 +5,10 @@ Two paths, chosen from the problem size alone:
 * Dense LAPACK.  M0 is diagonal, so the generalized problem reduces
   exactly to the ordinary symmetric problem for S = M0^-1/2 K M0^-1/2;
   eigenvectors map back through M0^-1/2 and come out M0-orthonormal.
-  Full solves, small problems and many modes take this path.
+  Full solves, small problems and many modes take this path.  It holds
+  one n x n working array, scaled and symmetrized in place and then
+  overwritten by LAPACK, besides its n x k eigenvectors, and refuses
+  solves whose 8 n (n + k) bytes exceed DENSE_BUDGET_BYTES.
 * Shift-invert Lanczos (ARPACK via scipy's eigsh) for a few modes of a
   large problem, from a fixed start vector and a fixed shift just below
   zero, followed by one Rayleigh-Ritz step on the returned basis.  The
@@ -50,6 +53,13 @@ SPARSE_MIN_NODES = 1000
 SPARSE_MAX_MODE_FRACTION = 1.0 / 64.0
 # shift just below the spectrum of a Laplacian, relative to max K_ii / M_ii
 SPARSE_SHIFT_REL = 1e-6
+# A dense solve of k modes on n nodes holds 8 n (n + k) bytes; above this
+# budget it is refused with a numerical error rather than left to fail
+# allocating, or to the out-of-memory killer.
+DENSE_BUDGET_BYTES = 4 * 2**30
+# columns per block when the dense path symmetrizes S and when a solve
+# checks its invariants
+DENSE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -138,7 +148,9 @@ def complete_group_count(groups, n_modes):
 
 def _fix_signs(vectors):
     """Largest-magnitude entry of each column positive; first index on ties."""
-    idx = np.argmax(np.abs(vectors), axis=0)
+    # argmax along contiguous rows of the transposed magnitudes: along
+    # axis 0 numpy would copy the magnitudes once more
+    idx = np.argmax(np.abs(vectors.T, order="C"), axis=1)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0.0] = 1.0
     return vectors * signs
@@ -200,7 +212,10 @@ def _solve(pair, n_modes, tol_deg, window):
             k = min(2 * k, n)
     keep = stop if window else n_modes
     values = solved[:keep]
-    vectors = _fix_signs(np.ascontiguousarray(vectors[:, :keep]))
+    # two statements, so that a full solve frees LAPACK's Fortran-order
+    # vectors before the sign fix copies the C-order ones
+    vectors = np.ascontiguousarray(vectors[:, :keep])
+    vectors = _fix_signs(vectors)
 
     _check_invariants(pair, values, vectors)
     groups = degeneracy_partition(values, tol_deg)
@@ -234,16 +249,39 @@ def _sparse_pays(n, k_ask):
 
 
 def _solve_dense(pair, n_modes):
+    """Lowest n_modes eigenpairs by LAPACK, in one n x n working array.
+
+    S = M0^-1/2 K M0^-1/2 is scaled in place, in Fortran order, and its
+    lower triangle is overwritten with 0.5 (S + S^T) a block of columns at
+    a time.  eigh (dsyevr) reads only that triangle and overwrites the
+    array, and Fortran order spares f2py its copy.  The results are
+    bit-identical to solving an explicitly symmetrized copy.
+    """
     n = pair.node_count
+    _check_dense_budget(n, n_modes)
     inv_sqrt_m = 1.0 / np.sqrt(pair.mass)
-    dense = pair.stiffness.toarray()
-    s = inv_sqrt_m[:, None] * dense * inv_sqrt_m[None, :]
-    s = 0.5 * (s + s.T)
-    if n_modes < n:
-        values, vectors = scipy.linalg.eigh(s, subset_by_index=[0, n_modes - 1])
-    else:
-        values, vectors = scipy.linalg.eigh(s)
-    return values, inv_sqrt_m[:, None] * vectors
+    s = pair.stiffness.toarray(order="F")
+    s *= inv_sqrt_m[:, None]
+    s *= inv_sqrt_m[None, :]
+    for j in range(0, n, DENSE_BLOCK):
+        lower = s[j:, j : j + DENSE_BLOCK]
+        lower += s[j : j + DENSE_BLOCK, j:].T
+        lower *= 0.5
+    subset = [0, n_modes - 1] if n_modes < n else None
+    values, vectors = scipy.linalg.eigh(s, subset_by_index=subset, overwrite_a=True)
+    del s, lower  # lower is a view of s
+    vectors *= inv_sqrt_m[:, None]
+    return values, vectors
+
+
+def _check_dense_budget(n, n_modes):
+    """Refuse a dense solve whose matrix and eigenvectors exceed DENSE_BUDGET_BYTES."""
+    needed = 8 * n * (n + n_modes)
+    if needed > DENSE_BUDGET_BYTES:
+        raise NumericalBreakdownError(
+            f"dense eigensolve of {n_modes} modes on {n} nodes needs {needed} "
+            f"bytes, above the dense budget of {DENSE_BUDGET_BYTES} bytes"
+        )
 
 
 class _SparseFallback(Exception):
@@ -339,12 +377,22 @@ def _ldlt_inertia(shifted):
 # a margin that overflows to inf or NaN fails its check, without a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _check_invariants(pair, values, vectors):
-    gram = vectors.T @ (pair.mass[:, None] * vectors)
-    ortho_err = np.abs(gram - np.eye(values.shape[0])).max()
+    # a block of columns at a time, so that a full solve holds no second
+    # n x n array here
+    k = values.shape[0]
+    ortho_err = 0.0
+    res_norms = np.empty(k)
+    for j in range(0, k, DENSE_BLOCK):
+        cols = slice(j, j + DENSE_BLOCK)
+        block = vectors[:, cols]
+        weighted = pair.mass[:, None] * block
+        gram = vectors.T @ weighted
+        gram[cols] -= np.eye(block.shape[1])
+        ortho_err = np.maximum(ortho_err, np.abs(gram).max())
+        residual = pair.stiffness @ block - weighted * values[None, cols]
+        res_norms[cols] = np.linalg.norm(residual, axis=0)
     if not ortho_err <= 1e-10:
         raise NumericalBreakdownError(f"M0-orthonormality violated: {ortho_err:.3e}")
-    residual = pair.stiffness @ vectors - pair.mass[:, None] * vectors * values[None, :]
-    res_norms = np.linalg.norm(residual, axis=0)
     # backward-error floor: || K psi - lam M psi || grows with the problem
     # scale sqrt(m_max) * lam_max even for a perfect solver
     floor = (

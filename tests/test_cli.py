@@ -398,6 +398,18 @@ def test_overflow_is_numerical_error(tmp_path, capsys, command, extra):
     assert list(out.iterdir()) == []
 
 
+def test_dense_budget_is_numerical_error(tmp_path, capsys, monkeypatch):
+    # 20 modes of the 24 x 24 torus take the dense path: 8 * 576 * 596 bytes
+    monkeypatch.setattr(eigen, "DENSE_BUDGET_BYTES", 2**20)
+    config = write_config(tmp_path, torus_config(nx=24, n_modes=20))
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", config, "--out", str(out)]) == 3
+    record = only_error(capsys)
+    assert record["error"] == "NumericalBreakdownError"
+    assert "needs 2746368 bytes, above the dense budget of 1048576 bytes" in record["message"]
+    assert list(out.iterdir()) == []
+
+
 def run_module(args, **kwargs):
     """Run python with args, the package on the path; return the CompletedProcess."""
     src = os.path.dirname(os.path.dirname(cli.__file__))

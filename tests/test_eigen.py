@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,3 +377,105 @@ def test_fd_corrections_zero_field_sparse(pair48):
     fd1, fd2 = finite_difference_corrections(pair48, pert, report, 1e-3, n_modes=10)
     assert np.all(fd1 == 0.0)
     assert np.all(fd2 == 0.0)
+
+
+# ----------------------------------------------------------------- dense path
+
+
+def symmetrized_copy_solve(pair, n_modes):
+    """The dense solve on an explicitly symmetrized copy of S = M0^-1/2 K M0^-1/2."""
+    inv_sqrt_m = 1.0 / np.sqrt(pair.mass)
+    s = inv_sqrt_m[:, None] * pair.stiffness.toarray() * inv_sqrt_m[None, :]
+    s = 0.5 * (s + s.T)
+    subset = [0, n_modes - 1] if n_modes < pair.node_count else None
+    values, vectors = scipy.linalg.eigh(s, subset_by_index=subset)
+    return values, inv_sqrt_m[:, None] * vectors
+
+
+def off_symmetric_pair(surface, seed):
+    """The surface's pair with uneven mass and K off symmetry at rounding level."""
+    pair = assemble_base(surface)
+    rng = np.random.default_rng(seed)
+    k = pair.stiffness.toarray()
+    k += 1e-14 * np.abs(k).max() * rng.standard_normal(k.shape) * (k != 0.0)
+    return synthetic_pair(k, pair.mass * rng.uniform(0.5, 2.0, pair.node_count))
+
+
+@pytest.mark.parametrize("surface", ["torus5x7", "ico1"])
+@pytest.mark.parametrize("block", ["below", "equal", "above"])
+@pytest.mark.parametrize("full", [False, True], ids=["subset", "full"])
+def test_dense_solve_matches_symmetrized_copy_bitwise(monkeypatch, surface, block, full):
+    # 35 and 42 nodes against a block width above, equal to and below n;
+    # 35 = 4 * 8 + 3 leaves a short last block
+    if surface == "torus5x7":
+        pair = off_symmetric_pair(make_torus(5, 7, 1.3, 0.7), 0)
+    else:
+        pair = off_symmetric_pair(mesh_from_arrays(*icosphere_arrays(1)), 1)
+    n = pair.node_count
+    width = {"below": n + 9, "equal": n, "above": 8}[block]
+    monkeypatch.setattr(eigen, "DENSE_BLOCK", width)
+    k = n if full else 9
+    values, vectors = eigen._solve_dense(pair, k)
+    expected_values, expected_vectors = symmetrized_copy_solve(pair, k)
+    assert vectors.shape == (n, k)
+    assert np.array_equal(values, expected_values)
+    assert np.array_equal(vectors, expected_vectors)
+
+
+def traced_peak(call, *args):
+    """Peak bytes numpy and Python allocate while call(*args) runs."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_solve_holds_one_matrix():
+    # the symmetrized copy held the dense K, the scaled product and its
+    # transpose sum (3 n x n arrays), then f2py's Fortran copy
+    pair = assemble_base(make_torus(45, 45, 1.0, 1.0))
+    n, k = pair.node_count, 10
+    bound = 1.2 * 8 * n * n + 8 * 8 * n * k
+    assert traced_peak(eigen._solve_dense, pair, k) <= bound
+    assert traced_peak(symmetrized_copy_solve, pair, k) > bound
+
+
+def test_full_solve_holds_one_matrix_besides_its_output():
+    pair = assemble_base(make_torus(32, 32, 1.0, 1.0))
+    n = pair.node_count
+    assert traced_peak(eigen.solve, pair, n) <= 2.5 * 8 * n * n
+
+
+def test_dense_budget_by_arithmetic():
+    # 128 x 128 torus with 300 modes: 2.2 GB; ico6 (40,962 nodes): 13.4 GB
+    eigen._check_dense_budget(128 * 128, 300)
+    with pytest.raises(NumericalBreakdownError, match="above the dense budget"):
+        eigen._check_dense_budget(40962, 10)
+
+
+def test_dense_budget_refuses_before_allocating(pair16, monkeypatch):
+    n = pair16.node_count
+    budget = 8 * n * (n + 12)
+    monkeypatch.setattr(eigen, "DENSE_BUDGET_BYTES", budget)
+    assert eigen.solve(pair16, 12).n_modes == 12
+    message = f"needs {8 * n * (n + 13)} bytes, above the dense budget of {budget} bytes"
+    with pytest.raises(NumericalBreakdownError, match=message):
+        eigen.solve(pair16, 13)
+    # the window doubles its dense request from 13 modes
+    with pytest.raises(NumericalBreakdownError, match="dense budget"):
+        eigen.solve_window(pair16, 12)
+
+
+def test_dense_budget_covers_the_sparse_fallback(pair48, monkeypatch):
+    # the ground eigenvalue lies below the shift, so the sparse path falls
+    # back to dense
+    shifted = OperatorPair(
+        surface=pair48.surface,
+        stiffness=pair48.stiffness - 20.0 * sp.diags(pair48.mass),
+        mass=pair48.mass,
+    )
+    monkeypatch.setattr(eigen, "DENSE_BUDGET_BYTES", 2**20)
+    with pytest.raises(NumericalBreakdownError, match="dense budget"):
+        eigen.solve(shifted, 8)

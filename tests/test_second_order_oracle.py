@@ -93,3 +93,28 @@ def test_window_corrections_match_full_basis_oracle(problem):
     again = compute_corrections(eigen.solve_window(pair, n_modes), ops)
     for name in ("lambda0", "lambda1", "lambda2", "psi1_orthogonal", "psi1_normalization"):
         assert np.array_equal(getattr(again, name), getattr(report, name)), name
+
+
+def test_close_modes_match_a_34_digit_reference():
+    # the example the property test drew with seed 42: a jittered level-2
+    # icosphere whose modes 2 and 3 lie 7.8e-4 apart, on the inverse-metric
+    # side.  The double-precision full-basis sums were 1.4e-9 off lambda2 of
+    # mode 2; the references were computed with 34 digits.
+    rng = np.random.default_rng(42)
+    vertices, faces = icosphere_arrays(2)
+    radii = 1.0 + 0.05 * rng.uniform(-1.0, 1.0, (vertices.shape[0], 1))
+    surface = mesh_from_arrays(vertices * radii, faces)
+    f1 = smooth_field(surface, rng, 0.5)
+    f2 = smooth_field(surface, rng, 0.3)
+    pair = assemble_base(surface)
+    perturbation = ConformalPerturbation(side=PerturbationSide.INVERSE_METRIC, f1=f1, f2=f2)
+    ops = conformal_operators(pair, perturbation)
+    reference = np.array([-0.86077479626400969157, -6.7726353876347038444])
+
+    report = compute_corrections(eigen.solve_window(pair, 3), ops)
+    assert report.n_modes == 3
+    window = report.lambda2[1:3]
+    assert np.all(np.abs(window - reference) <= 1e-10 * (1.0 + np.abs(reference)))
+
+    _, _, lambda2, _ = full_basis_corrections(eigen.solve(pair, pair.node_count), ops)
+    assert np.all(np.abs(lambda2[1:3] - reference) <= 1e-12)
