@@ -1,27 +1,34 @@
 """Deterministic solver for K psi = lambda M0 psi with degeneracy detection.
 
-Two paths, chosen from the problem size alone:
+Three paths, chosen from the problem size and the mode count alone:
 
 * Dense LAPACK.  M0 is diagonal, so the generalized problem reduces
   exactly to the ordinary symmetric problem for S = M0^-1/2 K M0^-1/2;
   eigenvectors map back through M0^-1/2 and come out M0-orthonormal.
-  Full solves, small problems and many modes take this path.  It holds
-  one n x n working array, scaled and symmetrized in place and then
-  overwritten by LAPACK, besides its n x k eigenvectors, and refuses
-  solves whose 8 n (n + k) bytes exceed DENSE_BUDGET_BYTES.
-* Shift-invert Lanczos (ARPACK via scipy's eigsh) for a few modes of a
-  large problem, from a fixed start vector and a fixed shift just below
-  zero, followed by one Rayleigh-Ritz step on the returned basis.  The
-  mode count grows until the degeneracy group at the cut is closed, and
-  Sylvester's law of inertia, read off symmetric LDL^T factorizations of
-  K - s M0, certifies that no eigenvalue lies below the shift and that
-  exactly the modes through that group lie below the gap after it.  This
-  one certified run is the closed window solve_window returns; solve
-  keeps its first n_modes.  Anything the path cannot certify falls back
-  to dense.
+  Small problems, full solves and mode counts past the sliced crossover
+  take this path.  It holds one n x n working array, scaled and
+  symmetrized in place and then overwritten by LAPACK, besides its n x k
+  eigenvectors, and refuses solves whose 8 n (n + k) bytes exceed
+  DENSE_BUDGET_BYTES.
+* One shift-invert Lanczos run (ARPACK via scipy's eigsh) for a few
+  modes of a large problem, from a fixed start vector and a fixed shift
+  just below zero, followed by one Rayleigh-Ritz step on the returned
+  basis.  The mode count grows until the degeneracy group at the cut is
+  closed, and Sylvester's law of inertia, read off symmetric LDL^T
+  factorizations of K - s M0, certifies that no eigenvalue lies below the
+  shift and that exactly the modes through that group lie below the gap
+  after it.  This one certified run is the closed window solve_window
+  returns; solve keeps its first n_modes.
+* Spectrum slicing for more modes than one run serves: [0, lambda_k] is
+  covered by slices, one Lanczos run each, the first about the same
+  shift just below zero and each later one about a shift above the last
+  slice's boundary.  Boundaries lie in gaps between degeneracy groups;
+  the inertia counts at the two ends of a slice must differ by exactly
+  the number of eigenvalues it accepts, and its basis is M0-orthogonalized
+  against the eigenvectors already accepted.  No n x n array is formed.
 
-Both paths are deterministic: identical inputs give bit-identical
-outputs.
+Whatever the Lanczos paths cannot certify falls back to dense.  Every
+path is deterministic: identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -47,10 +54,19 @@ DEFAULT_TOL_DEG = 1e-8
 # scipy.sparse.linalg would eat; at 1024 nodes sparse is 4x faster for
 # 13 modes.  At 2304 and 2562 nodes one Lanczos run beats dense up to
 # about 100 modes (n / 24), but closing a degeneracy group or recovering
-# a missed copy of a multiple eigenvalue can take three runs, so sparse
+# a missed copy of a multiple eigenvalue can take three runs, so one run
 # pays for sure only up to about n / 64 modes.
 SPARSE_MIN_NODES = 1000
 SPARSE_MAX_MODE_FRACTION = 1.0 / 64.0
+# Past that, slices.  A slice need not close a given cut, so its run is
+# sized once, to about SPARSE_SLICE_MODES accepted modes: on 2562 nodes
+# a run costs 6-8 ms per mode from 80 to 140 modes.  Slicing holds no
+# n x n array and at most half the memory of dense; in time it is
+# 1.1-1.7x dense at n / 12 modes and 1.5-2.1x at n / 8 on 2304 and 2562
+# nodes, and on 4900 nodes 3x faster at n / 25, 1.7x faster at n / 12 and
+# 1.5x slower at n / 6 (table in CHANGES.md).  So it stops at n / 8.
+SPARSE_SLICE_MODES = 120
+SPARSE_MAX_SLICED_FRACTION = 1.0 / 8.0
 # shift just below the spectrum of a Laplacian, relative to max K_ii / M_ii
 SPARSE_SHIFT_REL = 1e-6
 # A dense solve of k modes on n nodes holds 8 n (n + k) bytes; above this
@@ -192,12 +208,20 @@ def _solve(pair, n_modes, tol_deg, window):
 
     counts = Counter()
     solved = None
+    slices = 0
     if _sparse_pays(n, n_modes + 1):
         try:
             solved, vectors, k_ask = _solve_sparse(pair, n_modes, tol_deg, counts)
             path = f"sparse, k_ask={k_ask}"
+            slices = 1
         except _SparseFallback as exc:
             path = f"dense, sparse fallback: {exc}"
+    elif _slicing_pays(n, n_modes + 1):
+        try:
+            solved, vectors, slices = _solve_sliced(pair, n_modes, tol_deg, counts)
+            path = "sliced"
+        except _SparseFallback as exc:
+            path = f"dense, sliced fallback: {exc}"
     else:
         path = "dense"
     if solved is not None:
@@ -221,13 +245,15 @@ def _solve(pair, n_modes, tol_deg, window):
     groups = degeneracy_partition(values, tol_deg)
     logger.debug(
         "solved %d modes (%s), %d requested, %d returned, %d Lanczos runs, "
-        "%d inertia factorizations, %d degeneracy groups, lambda range [%g, %g]",
+        "%d inertia factorizations, %d slices, %d degeneracy groups, "
+        "lambda range [%g, %g]",
         solved.shape[0],
         path,
         n_modes,
         keep,
         counts["lanczos"],
         counts["inertia"],
+        slices,
         len(groups),
         values[0],
         values[-1],
@@ -248,14 +274,19 @@ def _sparse_pays(n, k_ask):
     return n >= SPARSE_MIN_NODES and k_ask <= SPARSE_MAX_MODE_FRACTION * n
 
 
+def _slicing_pays(n, k_ask):
+    return n >= SPARSE_MIN_NODES and k_ask <= SPARSE_MAX_SLICED_FRACTION * n
+
+
 def _solve_dense(pair, n_modes):
     """Lowest n_modes eigenpairs by LAPACK, in one n x n working array.
 
     S = M0^-1/2 K M0^-1/2 is scaled in place, in Fortran order, and its
     lower triangle is overwritten with 0.5 (S + S^T) a block of columns at
-    a time.  eigh (dsyevr) reads only that triangle and overwrites the
-    array, and Fortran order spares f2py its copy.  The results are
-    bit-identical to solving an explicitly symmetrized copy.
+    a time, each block checked finite there, so that eigh needs no n x n
+    mask of its own.  eigh (dsyevr) reads only that triangle and
+    overwrites the array, and Fortran order spares f2py its copy.  The
+    results are bit-identical to solving an explicitly symmetrized copy.
     """
     n = pair.node_count
     _check_dense_budget(n, n_modes)
@@ -264,12 +295,22 @@ def _solve_dense(pair, n_modes):
     s *= inv_sqrt_m[:, None]
     s *= inv_sqrt_m[None, :]
     for j in range(0, n, DENSE_BLOCK):
-        lower = s[j:, j : j + DENSE_BLOCK]
-        lower += s[j : j + DENSE_BLOCK, j:].T
+        cols, rows = slice(j, j + DENSE_BLOCK), slice(j + DENSE_BLOCK, None)
+        # numpy copies an operand that may overlap its output: only the
+        # diagonal block does, the columns below it and the rows right of
+        # it lie apart in Fortran order
+        diagonal = s[cols, cols]
+        diagonal += diagonal.T
+        s[rows, cols] += s[cols, rows].T
+        lower = s[j:, cols]
         lower *= 0.5
+        if not np.isfinite(lower).all():
+            raise NumericalBreakdownError("scaled stiffness matrix has non-finite entries")
     subset = [0, n_modes - 1] if n_modes < n else None
-    values, vectors = scipy.linalg.eigh(s, subset_by_index=subset, overwrite_a=True)
-    del s, lower  # lower is a view of s
+    values, vectors = scipy.linalg.eigh(
+        s, subset_by_index=subset, overwrite_a=True, check_finite=False
+    )
+    del s, lower, diagonal  # views of s
     vectors *= inv_sqrt_m[:, None]
     return values, vectors
 
@@ -298,40 +339,20 @@ def _solve_sparse(pair, n_modes, tol_deg, counts):
     eigenvalue lies below the shift and exactly `stop` below the gap after
     the group.  counts tallies the Lanczos runs and inertia factorizations.
     Raises _SparseFallback when ARPACK fails, the cut cannot be closed
-    below the crossover, or an inertia count disagrees.
+    within one run's mode count, or an inertia count disagrees.
     """
-    import scipy.sparse.linalg as spla
-
     n = pair.node_count
-    stiffness = pair.stiffness.tocsc()
-    mass = scipy.sparse.diags(pair.mass, format="csc")
-    sigma = -SPARSE_SHIFT_REL * max(
-        float(np.max(np.abs(stiffness.diagonal()) / pair.mass)), 1.0
-    )
+    stiffness, mass, mass_op = _sparse_operators(pair)
+    sigma = _ground_shift(stiffness, pair.mass)
     counts["inertia"] += 1
     lu, below = _ldlt_inertia(stiffness - sigma * mass)
     if below != 0:
         raise _SparseFallback(f"inertia count {below} below the shift {sigma:.3e}")
-    shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
 
     k_ask = n_modes + 1
     while True:
-        counts["lanczos"] += 1
-        try:
-            _, basis = spla.eigsh(
-                stiffness, k_ask, M=mass, sigma=sigma, which="LM",
-                v0=start, tol=0, OPinv=shift_invert,
-            )
-        except spla.ArpackError as exc:
-            raise _SparseFallback(f"ARPACK failed at k_ask={k_ask}: {exc}") from exc
-        # Rayleigh-Ritz on the Lanczos basis gives M0-orthonormal Ritz
-        # vectors, also inside degenerate groups.  The products go through
-        # einsum, not BLAS: OpenBLAS sums these long inner products in an
-        # order that depends on its thread count.
-        a = np.einsum("ia,ib->ab", basis, stiffness @ basis)
-        b = np.einsum("ia,ib->ab", basis, pair.mass[:, None] * basis)
-        values, coeffs = scipy.linalg.eigh(0.5 * (a + a.T), 0.5 * (b + b.T))
+        _, basis = _lanczos(stiffness, mass_op, sigma, lu, k_ask, counts)
+        values, coeffs = _rayleigh_ritz(stiffness, pair.mass, basis)
         stop = complete_group_count(degeneracy_partition(values, tol_deg), n_modes)
         if stop < k_ask:
             # Lanczos from one start vector can miss a copy of a multiple
@@ -349,6 +370,186 @@ def _solve_sparse(pair, n_modes, tol_deg, counts):
         k_ask += k_ask - n_modes + 1
         if not _sparse_pays(n, k_ask):
             raise _SparseFallback(f"{reason} within the crossover ({k_ask} modes)")
+
+
+def _solve_sliced(pair, n_modes, tol_deg, counts):
+    """The closed window of n_modes, one certified Lanczos run per slice.
+
+    Spectrum slicing (Ericsson & Ruhe 1980; Grimes, Lewis & Simon 1994).
+    Slice 0 runs about the shift just below zero that _solve_sparse uses.
+    Each later slice runs about a shift placed above the last boundary by
+    Weyl's law: the counting function of a surface grows linearly, so the
+    mean spacing of the eigenvalues so far puts about 3/8 of the slice's
+    modes between the boundary and the shift.  Every slice ends at a new
+    boundary in a gap between degeneracy groups, certified by inertia
+    (see _slice).  The slices stop once the group of mode n_modes - 1 has
+    closed below the last boundary.  Returns (values, vectors, slices)
+    like _solve_sparse; raises _SparseFallback when a slice cannot be
+    certified.
+    """
+    operators = _sparse_operators(pair)
+    lower = sigma = _ground_shift(operators[0], pair.mass)
+    count, stop = 0, n_modes
+    accepted_values, accepted_vectors = [], []
+    while True:
+        # a quarter more than the cut needs, so that its group closes in
+        # this slice
+        want = min(SPARSE_SLICE_MODES, (stop - count) * 5 // 4 + 4)
+        if count:
+            spacing = (lower - accepted_values[0][0]) / count
+            sigma = lower + 0.375 * want * spacing
+        values, vectors, lower, above = _slice(
+            pair, operators, sigma, lower, count, want, accepted_vectors, tol_deg, counts
+        )
+        accepted_values.append(values)
+        accepted_vectors.append(vectors)
+        count += values.shape[0]
+        # the first value past the boundary shows whether the cut's group
+        # has closed
+        all_values = np.concatenate(accepted_values + [[above]])
+        stop = complete_group_count(degeneracy_partition(all_values, tol_deg), n_modes)
+        if stop <= count:
+            # trimmed before joining, so that the joined block is the window
+            last = accepted_vectors[-1]
+            accepted_vectors[-1] = last[:, : last.shape[1] - (count - stop)]
+            vectors = np.concatenate(accepted_vectors, axis=1)
+            return all_values[:stop], vectors, len(accepted_values)
+
+
+def _slice(pair, operators, sigma, lower, count, want, accepted, tol_deg, counts):
+    """About `want` eigenpairs from `lower` up, by shift-invert Lanczos about sigma.
+
+    `count` eigenvalues lie below `lower`, and `accepted` holds their
+    eigenvectors in blocks.  Slice 0 (sigma == lower) asks for `want`
+    modes.  A later slice asks for twice the modes the inertia count at
+    sigma puts between `lower` and sigma, plus half of `want`, and its run
+    must reach back past `lower`; its basis is M0-orthogonalized against
+    the accepted blocks before Rayleigh-Ritz.  The highest group found may
+    miss copies beyond the run's reach, so the new boundary lies in the
+    gap below it, and the inertia count there must exceed `count` by
+    exactly the number accepted.  Otherwise the run is repeated with half
+    as many modes more, up to three runs.
+    Returns (values, vectors, boundary, first value above the boundary).
+    """
+    n = pair.node_count
+    stiffness, mass, mass_op = operators
+    k_ask = None
+    for _ in range(3):
+        counts["inertia"] += 1
+        lu, below = _ldlt_inertia(stiffness - sigma * mass)
+        if below < count or (sigma == lower and below != count):
+            raise _SparseFallback(f"inertia count {below} below the shift {sigma:.3e}")
+        if k_ask is None:
+            k_ask = want if sigma == lower else 2 * (below - count) + want // 2
+        k_ask = min(max(k_ask, 2), n - 1)
+        # a Lanczos basis of 4 k / 3 vectors, not ARPACK's 2 k + 1: as many
+        # solves (3 k at 2562 nodes), a smaller basis, and on 2562 nodes
+        # the n x ncv products stay below 460,800 entries, from which
+        # OpenBLAS splits its dgemv across threads and the split changes
+        # the rounding
+        ncv = min(k_ask + max(k_ask // 3, 20), n)
+        reach, basis = _lanczos(stiffness, mass_op, sigma, lu, k_ask, counts, ncv)
+        del lu  # one factorization held at a time
+        if accepted:
+            basis = _deflate(basis, accepted, pair.mass)
+        values, coeffs = _rayleigh_ritz(stiffness, pair.mass, basis)
+        first = int(np.searchsorted(values, lower))
+        groups = degeneracy_partition(values[first:], tol_deg)
+        # the run holds every eigenvalue nearer to sigma than its farthest
+        # Ritz value; a group at that distance may miss copies
+        if sigma != lower and not reach.min() < lower:
+            reason = f"run about {sigma:.6e} short of {lower:.6e}"
+        elif reach.max() < sigma:
+            # nothing between the highest value found and sigma, so sigma
+            # is the boundary and its inertia count the certificate
+            stop, mu, above = values.shape[0], sigma, 2.0 * sigma - reach.min()
+            if below - count == stop - first:
+                vectors = np.einsum("ia,ab->ib", basis, coeffs[:, first:stop])
+                return values[first:], vectors, mu, above
+            reason = f"inertia count {below} below {mu:.6e}, found {count + stop - first}"
+        elif len(groups) >= 2:
+            stop = first + groups[-1][0]
+            mu = 0.5 * (values[stop - 1] + values[stop])
+            counts["inertia"] += 1
+            _, below_mu = _ldlt_inertia(stiffness - mu * mass)
+            if below_mu - count == stop - first:
+                vectors = np.einsum("ia,ab->ib", basis, coeffs[:, first:stop])
+                return values[first:stop], vectors, mu, values[stop]
+            reason = f"inertia count {below_mu} below {mu:.6e}, found {count + stop - first}"
+        else:
+            reason = f"{len(groups)} groups above {lower:.6e}"
+        k_ask += k_ask // 2
+    raise _SparseFallback(f"{reason} after three runs")
+
+
+def _deflate(basis, accepted, mass):
+    """M0-orthonormal basis of the part of `basis` M0-orthogonal to the accepted blocks.
+
+    Classical Gram-Schmidt, twice.  Lanczos vectors of accepted
+    eigenvalues keep only a tiny norm; directions whose Gram eigenvalue
+    is below one half are dropped.  einsum, not BLAS, as in _rayleigh_ritz.
+    """
+    for _ in range(2):
+        weighted = mass[:, None] * basis
+        for block in accepted:
+            overlap = np.einsum("ia,ib->ab", block, weighted)
+            basis = basis - np.einsum("ia,ab->ib", block, overlap)
+    gram = np.einsum("ia,ib->ab", basis, mass[:, None] * basis)
+    scale, rotation = scipy.linalg.eigh(0.5 * (gram + gram.T))
+    kept = scale > 0.5
+    return np.einsum("ia,ab->ib", basis, rotation[:, kept] / np.sqrt(scale[kept]))
+
+
+def _rayleigh_ritz(stiffness, mass, basis):
+    """Ritz values and coefficients of K psi = lambda M0 psi on the basis.
+
+    The Ritz vectors basis @ coeffs are M0-orthonormal, also inside
+    degenerate groups.  The products go through einsum, not BLAS: OpenBLAS
+    sums these long inner products in an order that depends on its
+    thread count.
+    """
+    a = np.einsum("ia,ib->ab", basis, stiffness @ basis)
+    b = np.einsum("ia,ib->ab", basis, mass[:, None] * basis)
+    return scipy.linalg.eigh(0.5 * (a + a.T), 0.5 * (b + b.T))
+
+
+def _ground_shift(stiffness, mass):
+    """A shift just below the spectrum of a Laplacian, relative to max K_ii / M_ii."""
+    return -SPARSE_SHIFT_REL * max(float(np.max(np.abs(stiffness.diagonal()) / mass)), 1.0)
+
+
+def _sparse_operators(pair):
+    """K in CSC; M0 as a sparse diagonal, for the factorizations; M0 applied elementwise."""
+    import scipy.sparse.linalg as spla
+
+    n = pair.node_count
+    mass = pair.mass
+    return (
+        pair.stiffness.tocsc(),
+        scipy.sparse.diags(mass, format="csc"),
+        spla.LinearOperator((n, n), matvec=lambda x: mass * x, dtype=float),
+    )
+
+
+def _lanczos(stiffness, mass_op, sigma, lu, k_ask, counts, ncv=None):
+    """Ritz values and basis of the k_ask modes nearest sigma, from the fixed start vector.
+
+    lu factors K - sigma M0; ARPACK in shift-invert mode, with a basis of
+    ncv vectors (ARPACK's default 2 k_ask + 1 when None).
+    """
+    import scipy.sparse.linalg as spla
+
+    n = stiffness.shape[0]
+    shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    counts["lanczos"] += 1
+    try:
+        return spla.eigsh(
+            stiffness, k_ask, M=mass_op, sigma=sigma, which="LM",
+            v0=start, tol=0, OPinv=shift_invert, ncv=ncv,
+        )
+    except spla.ArpackError as exc:
+        raise _SparseFallback(f"ARPACK failed at k_ask={k_ask}: {exc}") from exc
 
 
 def _ldlt_inertia(shifted):

@@ -350,18 +350,48 @@ def _parse_off(text, name):
         raise MeshParseError(
             f"{name}: expected {nv} vertex and {nf} face lines, file is short"
         )
-    vertices = np.empty((nv, 3))
-    for i in range(nv):
-        parts = lines[2 + i].split()
+    vertex_lines = [line.split() for line in lines[2 : 2 + nv]]
+    face_lines = [line.split() for line in lines[2 + nv : 2 + nv + nf]]
+    vertices = _convert_block(vertex_lines, 3, float)
+    if vertices is None:
+        vertices = _parse_vertices(vertex_lines, name)
+    faces = _convert_block(face_lines, 4, np.int64)
+    if faces is None or np.any(faces[:, 0] != 3):
+        faces = _parse_faces(face_lines, name)
+    else:
+        faces = np.ascontiguousarray(faces[:, 1:])
+    if not np.all(np.isfinite(vertices)):
+        raise MeshParseError(f"{name}: non-finite vertex coordinates")
+    return vertices, faces
+
+
+def _convert_block(rows, width, dtype):
+    """The rows as one array when each has exactly `width` fields that convert; else None."""
+    if any(len(row) != width for row in rows):
+        return None
+    try:
+        return np.array(rows, dtype=dtype)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_vertices(rows, name):
+    """Line by line, naming the first malformed vertex line."""
+    vertices = np.empty((len(rows), 3))
+    for i, parts in enumerate(rows):
         if len(parts) < 3:
             raise MeshParseError(f"{name}: vertex line {i} has {len(parts)} fields")
         try:
             vertices[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
         except ValueError as exc:
             raise MeshParseError(f"{name}: bad vertex line {i}") from exc
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        parts = lines[2 + nv + i].split()
+    return vertices
+
+
+def _parse_faces(rows, name):
+    """Line by line, naming the first malformed face line."""
+    faces = np.empty((len(rows), 3), dtype=np.int64)
+    for i, parts in enumerate(rows):
         try:
             arity = int(parts[0])
         except (IndexError, ValueError) as exc:
@@ -370,11 +400,9 @@ def _parse_off(text, name):
             raise MeshParseError(f"{name}: face {i} is not a triangle")
         try:
             faces[i] = [int(parts[1]), int(parts[2]), int(parts[3])]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # overflow: beyond int64
             raise MeshParseError(f"{name}: bad face line {i}") from exc
-    if not np.all(np.isfinite(vertices)):
-        raise MeshParseError(f"{name}: non-finite vertex coordinates")
-    return vertices, faces
+    return faces
 
 
 def _validate_mesh_topology(vertices, faces):
@@ -391,29 +419,28 @@ def _validate_mesh_topology(vertices, faces):
     ):
         raise MeshTopologyError("face with a repeated vertex")
 
-    directed = {}
-    for f in range(faces.shape[0]):
-        a, b, c = faces[f]
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (int(u), int(v))
-            if key in directed:
-                raise MeshTopologyError(
-                    f"directed edge {key} appears twice: inconsistent orientation "
-                    "or non-manifold edge"
-                )
-            directed[key] = f
-
-    undirected = set()
-    for (u, v) in directed:
-        if u < v:
-            undirected.add((u, v))
-        else:
-            undirected.add((v, u))
-    for (u, v) in undirected:
-        has_fwd = (u, v) in directed
-        has_bwd = (v, u) in directed
-        if not (has_fwd and has_bwd):
-            raise MeshTopologyError(f"boundary edge ({u}, {v}): surface is not closed")
+    # directed edges (a, b), (b, c), (c, a) of each face, in face order
+    tails = faces.ravel()
+    heads = faces[:, [1, 2, 0]].ravel()
+    keys = tails * nv + heads
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeated = ordered[1:] == ordered[:-1]
+    if repeated.any():
+        # the first edge, in face order, that repeats an earlier one
+        second = int(order[1:][repeated].min())
+        key = (int(tails[second]), int(heads[second]))
+        raise MeshTopologyError(
+            f"directed edge {key} appears twice: inconsistent orientation "
+            "or non-manifold edge"
+        )
+    reverse = heads * nv + tails
+    found = np.minimum(np.searchsorted(ordered, reverse), ordered.shape[0] - 1)
+    unmatched = ordered[found] != reverse
+    if unmatched.any():
+        e = int(np.flatnonzero(unmatched)[0])
+        u, v = sorted((int(tails[e]), int(heads[e])))
+        raise MeshTopologyError(f"boundary edge ({u}, {v}): surface is not closed")
 
     referenced = np.zeros(nv, dtype=bool)
     referenced[faces.ravel()] = True
@@ -421,20 +448,21 @@ def _validate_mesh_topology(vertices, faces):
         orphan = int(np.flatnonzero(~referenced)[0])
         raise MeshTopologyError(f"vertex {orphan} belongs to no face")
 
-    # connectedness via union of face edges
-    adjacency = [[] for _ in range(nv)]
-    for (u, v) in undirected:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = np.zeros(nv, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    if not seen.all():
+    # connectedness: hook each edge's larger root onto its smaller one and
+    # shortcut every vertex to its root, until no edge joins two roots
+    root = np.arange(nv)
+    while True:
+        lo = np.minimum(root[tails], root[heads])
+        hi = np.maximum(root[tails], root[heads])
+        if np.array_equal(lo, hi):
+            break
+        np.minimum.at(root, hi, lo)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    if np.any(root != 0):
         raise MeshTopologyError("mesh is disconnected")
-    return len(undirected)
+    # every undirected edge appears once in each direction
+    return keys.shape[0] // 2

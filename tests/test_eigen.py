@@ -324,29 +324,40 @@ print(hashlib.sha256(s.eigenvalues.tobytes() + s.eigenvectors.tobytes()).hexdige
 """
 
 
-def test_sparse_same_bytes_at_one_and_two_blas_threads():
+def thread_digests(script, timeout=120):
+    """The digest the script prints, equal at 1 and 2 OpenBLAS threads."""
     src = os.path.dirname(os.path.dirname(eigen.__file__))
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
         done = subprocess.run(
-            [sys.executable, "-c", _DIGEST_SCRIPT],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=timeout, check=True,
         )
         digests.append(done.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+    return digests[0]
 
 
-def test_sparse_path_choice(pair_ico4, eigsh_calls):
+def test_sparse_same_bytes_at_one_and_two_blas_threads():
+    assert thread_digests(_DIGEST_SCRIPT) is not None
+
+
+def test_sparse_path_choice(pair_ico4, eigsh_calls, caplog):
     eigen.solve(assemble_base(make_torus(24, 24, 1.0, 1.0)), 8)  # small n
-    eigen.solve(pair_ico4, 200)  # too many modes
     pair32 = assemble_base(make_torus(32, 32, 1.0, 1.0))
     eigen.solve(pair32, pair32.node_count)  # full solve
+    eigen.solve(pair32, 200)  # past the sliced crossover, n / 6 modes
     assert eigsh_calls == []
     eigen.solve(pair32, 8)
     assert eigsh_calls
+    # more modes than one run serves: slices, not the dense matrix
+    eigsh_calls.clear()
+    _, log = solve_logged(caplog, pair_ico4, 200)
+    assert "(sliced)" in log
+    assert len(eigsh_calls) >= 2
 
 
 def test_solve_logs_path(pair16, pair48, caplog):
@@ -377,6 +388,102 @@ def test_fd_corrections_zero_field_sparse(pair48):
     fd1, fd2 = finite_difference_corrections(pair48, pert, report, 1e-3, n_modes=10)
     assert np.all(fd1 == 0.0)
     assert np.all(fd2 == 0.0)
+
+
+# --------------------------------------------------------------- sliced path
+
+
+@pytest.fixture(scope="module")
+def many48(pair48):
+    return dense_reference(pair48, 210)
+
+
+@pytest.fixture(scope="module")
+def many_ico4(pair_ico4):
+    return dense_reference(pair_ico4, 210)
+
+
+def rayleigh_quotients(pair, vectors):
+    """psi^T K psi / psi^T M0 psi for each column: eigenvalues accurate to
+    the square of the vectors' error, where LAPACK's own values carry an
+    error of eps times the largest eigenvalue (1.8e-12 (1 + lambda) at
+    lambda = 1235 on the 48 x 48 torus)."""
+    num = np.einsum("ia,ia->a", vectors, pair.stiffness @ vectors)
+    return num / np.einsum("ia,ia,i->a", vectors, vectors, pair.mass)
+
+
+@pytest.mark.parametrize("k", [50, 100, 200])
+@pytest.mark.parametrize(
+    "pair_name, dense_name", [("pair48", "many48"), ("pair_ico4", "many_ico4")]
+)
+def test_sliced_matches_dense(request, caplog, pair_name, dense_name, k):
+    pair = request.getfixturevalue(pair_name)
+    values, vectors = request.getfixturevalue(dense_name)
+    spectral, log = solve_logged(caplog, pair, k)
+    assert "(sliced)" in log
+    reference = rayleigh_quotients(pair, vectors[:, :k])
+    assert scaled_gap(spectral.eigenvalues, reference) <= 1e-12
+    groups = eigen.degeneracy_partition(values[:k], eigen.DEFAULT_TOL_DEG)
+    assert spectral.degeneracy_groups == groups
+    for members in groups[:-1]:  # the last may continue past mode k - 1
+        ours = spectral.eigenvectors[:, list(members)]
+        ref = vectors[:, list(members)]
+        # the part of our group outside the reference's span: its largest
+        # M0-norm is the sine of the largest angle between the two spans,
+        # the distance of their M0-orthogonal projectors
+        outside = ours - ref @ (ref.T @ (pair.mass[:, None] * ours))
+        sine = np.sqrt(np.max(np.einsum("ia,ia,i->a", outside, outside, pair.mass)))
+        assert sine <= 1e-8
+
+
+def test_slice_boundary_next_to_an_eightfold_level(pair48, monkeypatch, caplog):
+    # modes 13-20 of the 48 x 48 torus form the 8-fold level of the
+    # frequencies (+-2, +-1) and (+-1, +-2).  Slices of 16 modes put the
+    # first boundary in the gap just below it, so the second slice must
+    # find all eight copies, and no copy may come back twice.
+    monkeypatch.setattr(eigen, "SPARSE_MAX_MODE_FRACTION", 1e-3)
+    monkeypatch.setattr(eigen, "SPARSE_SLICE_MODES", 16)
+    slices = []
+    real = eigen._slice
+
+    def recorded(*args):
+        result = real(*args)
+        slices.append(result)
+        return result
+
+    monkeypatch.setattr(eigen, "_slice", recorded)
+    spectral, log = solve_logged(caplog, pair48, 30)
+    assert "(sliced)" in log
+    lam = spectral.eigenvalues
+    assert lam[12] < slices[0][2] < lam[13]
+    assert slices[0][0].shape[0] == 13
+    assert (13, 14, 15, 16, 17, 18, 19, 20) in spectral.degeneracy_groups
+    assert sum(len(values) for values, *_ in slices) >= 30
+    h = 1.0 / 48
+    s = np.sin(np.pi * h * np.arange(48)) ** 2
+    symbol = np.sort(((4.0 / h**2) * (s[:, None] + s[None, :])).ravel())
+    assert scaled_gap(lam, symbol[:30]) <= 1e-12
+
+
+_SLICED_DIGEST_SCRIPT = """
+import hashlib
+from isospec import eigen
+from isospec.assembly import assemble_base
+from isospec.surface import icosphere_arrays, mesh_from_arrays
+s = eigen.solve(assemble_base(mesh_from_arrays(*icosphere_arrays(4))), 200)
+print(hashlib.sha256(s.eigenvalues.tobytes() + s.eigenvectors.tobytes()).hexdigest())
+"""
+
+
+def test_sliced_same_bytes_at_one_and_two_blas_threads():
+    assert thread_digests(_SLICED_DIGEST_SCRIPT, timeout=300) is not None
+
+
+def test_sliced_solve_holds_no_dense_matrix(pair_ico4):
+    # 200 modes of icosphere 4 (2562 nodes) traced 1.13 x 8 n^2 bytes on
+    # the dense path; sliced, 0.34 x 8 n^2, most of it ARPACK's basis
+    n = pair_ico4.node_count
+    assert traced_peak(eigen.solve, pair_ico4, 200) <= 0.5 * 8 * n * n
 
 
 # ----------------------------------------------------------------- dense path
@@ -434,12 +541,24 @@ def traced_peak(call, *args):
 
 def test_dense_solve_holds_one_matrix():
     # the symmetrized copy held the dense K, the scaled product and its
-    # transpose sum (3 n x n arrays), then f2py's Fortran copy
+    # transpose sum (3 n x n arrays), then f2py's Fortran copy; adding the
+    # transpose of a whole 256-column strip made numpy copy that strip
+    # (n x 256 doubles, 0.126 x 8 n^2 here), and eigh's finiteness check
+    # a boolean n x n mask of the same size
     pair = assemble_base(make_torus(45, 45, 1.0, 1.0))
     n, k = pair.node_count, 10
-    bound = 1.2 * 8 * n * n + 8 * 8 * n * k
+    bound = 1.06 * 8 * n * n + 8 * 8 * n * k
     assert traced_peak(eigen._solve_dense, pair, k) <= bound
     assert traced_peak(symmetrized_copy_solve, pair, k) > bound
+
+
+def test_dense_solve_refuses_non_finite_entries():
+    pair = off_symmetric_pair(make_torus(5, 7, 1.3, 0.7), 0)
+    stiffness = pair.stiffness.tolil()
+    stiffness[20, 3] = np.inf
+    bad = OperatorPair(surface=None, stiffness=stiffness.tocsr(), mass=pair.mass)
+    with pytest.raises(NumericalBreakdownError, match="non-finite"):
+        eigen._solve_dense(bad, 9)
 
 
 def test_full_solve_holds_one_matrix_besides_its_output():

@@ -134,6 +134,32 @@ def test_quad_face_rejected(tmp_path):
         load_mesh(path)
 
 
+def test_face_index_beyond_int64_is_a_parse_error(tmp_path):
+    path = tmp_path / "huge.off"
+    path.write_text(
+        "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+        "3 0 1 99999999999999999999999\n3 0 2 3\n3 0 3 1\n3 1 3 2\n"
+    )
+    with pytest.raises(MeshParseError, match="bad face line 0"):
+        load_mesh(path)
+
+
+def test_off_rows_of_uneven_width_parse_line_by_line(tmp_path):
+    # trailing fields (colours, say) on some lines only: the first three
+    # coordinates and the first three indices count, as in a uniform file
+    vertices, faces = icosphere_arrays(1)
+    lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
+    lines += [" ".join(repr(float(x)) for x in v) + (" 0.5" if i % 3 == 0 else "")
+              for i, v in enumerate(vertices)]
+    lines += ["3 " + " ".join(str(int(j)) for j in f) + (" 255 0 0" if i % 4 == 0 else "")
+              for i, f in enumerate(faces)]
+    path = tmp_path / "uneven.off"
+    path.write_text("\n".join(lines) + "\n")
+    surface = load_mesh(path)
+    assert np.array_equal(surface.vertices, vertices)
+    assert np.array_equal(surface.faces, faces)
+
+
 def test_constant_expression_field(torus16):
     field = field_from_expression(torus16, "1")
     assert np.array_equal(field.values, np.ones(torus16.node_count))
