@@ -1,6 +1,6 @@
 """Deterministic solver for K psi = lambda M0 psi with degeneracy detection.
 
-Three paths, chosen from the problem size and the mode count alone:
+Two paths, chosen from the problem size and the mode count alone:
 
 * Dense LAPACK.  M0 is diagonal, so the generalized problem reduces
   exactly to the ordinary symmetric problem for S = M0^-1/2 K M0^-1/2;
@@ -10,25 +10,22 @@ Three paths, chosen from the problem size and the mode count alone:
   symmetrized in place and then overwritten by LAPACK, besides its n x k
   eigenvectors, and refuses solves whose 8 n (n + k) bytes exceed
   DENSE_BUDGET_BYTES.
-* One shift-invert Lanczos run (ARPACK via scipy's eigsh) for a few
-  modes of a large problem, from a fixed start vector and a fixed shift
-  just below zero, followed by one Rayleigh-Ritz step on the returned
-  basis.  The mode count grows until the degeneracy group at the cut is
-  closed, and Sylvester's law of inertia, read off symmetric LDL^T
-  factorizations of K - s M0, certifies that no eigenvalue lies below the
-  shift and that exactly the modes through that group lie below the gap
-  after it.  This one certified run is the closed window solve_window
-  returns; solve keeps its first n_modes.
-* Spectrum slicing for more modes than one run serves: [0, lambda_k] is
-  covered by slices, one Lanczos run each, the first about the same
-  shift just below zero and each later one about a shift above the last
-  slice's boundary.  Boundaries lie in gaps between degeneracy groups;
-  the inertia counts at the two ends of a slice must differ by exactly
-  the number of eigenvalues it accepts, and its basis is M0-orthogonalized
-  against the eigenvectors already accepted.  No n x n array is formed.
+* Spectrum slicing for the lowest modes of a large problem: [0, lambda_k]
+  is covered by slices, one shift-invert Lanczos run each (ARPACK via
+  scipy's eigsh, from a fixed start vector) followed by one Rayleigh-Ritz
+  step on the returned basis.  The first slice runs about a fixed shift
+  just below zero, each later one about a shift above the last slice's
+  boundary.  Boundaries lie in gaps between degeneracy groups, and
+  Sylvester's law of inertia, read off symmetric LDL^T factorizations of
+  K - s M0, certifies them: no eigenvalue lies below the first shift, and
+  the counts at the two ends of a slice differ by exactly the number of
+  eigenvalues it accepts.  A later slice's basis is M0-orthogonalized
+  against the eigenvectors already accepted.  A few modes take one slice;
+  its certified run closes the degeneracy group at the cut, and that
+  closed window is what solve_window returns.  No n x n array is formed.
 
-Whatever the Lanczos paths cannot certify falls back to dense.  Every
-path is deterministic: identical inputs give bit-identical outputs.
+Whatever slicing cannot certify falls back to dense.  Both paths are
+deterministic: identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -48,20 +45,15 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TOL_DEG = 1e-8
 
-# Crossover between the dense and the sparse path, measured on 2 cores
+# Crossover between the dense path and slicing, measured on 2 cores
 # (OpenBLAS, 2 threads; table in CHANGES.md).  At 576 and 642 nodes both
-# take 0.02-0.03 s for up to 20 modes, which the 16 ms lazy import of
-# scipy.sparse.linalg would eat; at 1024 nodes sparse is 4x faster for
-# 13 modes.  At 2304 and 2562 nodes one Lanczos run beats dense up to
-# about 100 modes (n / 24), but closing a degeneracy group or recovering
-# a missed copy of a multiple eigenvalue can take three runs, so one run
-# pays for sure only up to about n / 64 modes.
+# take 0.02-0.05 s for windows of up to 30 modes, which the 10-16 ms lazy
+# import of scipy.sparse.linalg would eat; at 1024 nodes slicing is 2-5x
+# faster up to 20 modes.
 SPARSE_MIN_NODES = 1000
-SPARSE_MAX_MODE_FRACTION = 1.0 / 64.0
-# Past that, slices.  A slice need not close a given cut, so its run is
-# sized once, to about SPARSE_SLICE_MODES accepted modes: on 2562 nodes
-# a run costs 6-8 ms per mode from 80 to 140 modes.  Slicing holds no
-# n x n array and at most half the memory of dense; in time it is
+# A slice is sized once, to about SPARSE_SLICE_MODES accepted modes: on
+# 2562 nodes a run costs 6-8 ms per mode from 80 to 140 modes.  Slicing
+# holds no n x n array and at most half the memory of dense; in time it is
 # 1.1-1.7x dense at n / 12 modes and 1.5-2.1x at n / 8 on 2304 and 2562
 # nodes, and on 4900 nodes 3x faster at n / 25, 1.7x faster at n / 12 and
 # 1.5x slower at n / 6 (table in CHANGES.md).  So it stops at n / 8.
@@ -175,8 +167,8 @@ def _fix_signs(vectors):
 def solve(pair, n_modes, tol_deg=DEFAULT_TOL_DEG):
     """Lowest n_modes eigenpairs of K psi = lambda M0 psi.
 
-    Deterministic: identical inputs give bit-identical outputs.  Few
-    modes of a large problem come from shift-invert Lanczos, everything
+    Deterministic: identical inputs give bit-identical outputs.  Up to
+    n / 8 modes of a large problem come from spectrum slicing, everything
     else from dense LAPACK (see the module docstring).  Verifies
     M0-orthonormality, per-mode residuals, and (for pairs whose stiffness
     annihilates constants) that the ground eigenvalue is zero.
@@ -187,8 +179,8 @@ def solve(pair, n_modes, tol_deg=DEFAULT_TOL_DEG):
 def solve_window(pair, n_modes, tol_deg=DEFAULT_TOL_DEG):
     """The lowest modes through the end of the degeneracy group of mode n_modes - 1.
 
-    The sparse path already closes that group and certifies the count by
-    inertia, so its one certified run is the window.  The dense path sees
+    Slicing already closes that group and certifies the count by inertia,
+    so its certified slices are the window.  The dense path sees
     a group close only below its last mode, so it asks for one mode more
     than the window and doubles until the group closes or it holds every
     mode.  The result is marked closed.
@@ -209,14 +201,7 @@ def _solve(pair, n_modes, tol_deg, window):
     counts = Counter()
     solved = None
     slices = 0
-    if _sparse_pays(n, n_modes + 1):
-        try:
-            solved, vectors, k_ask = _solve_sparse(pair, n_modes, tol_deg, counts)
-            path = f"sparse, k_ask={k_ask}"
-            slices = 1
-        except _SparseFallback as exc:
-            path = f"dense, sparse fallback: {exc}"
-    elif _slicing_pays(n, n_modes + 1):
+    if n >= SPARSE_MIN_NODES and n_modes + 1 <= SPARSE_MAX_SLICED_FRACTION * n:
         try:
             solved, vectors, slices = _solve_sliced(pair, n_modes, tol_deg, counts)
             path = "sliced"
@@ -225,7 +210,7 @@ def _solve(pair, n_modes, tol_deg, window):
     else:
         path = "dense"
     if solved is not None:
-        stop = solved.shape[0]  # the sparse path returns the closed window
+        stop = solved.shape[0]  # slicing returns the closed window
     else:
         k = min(n_modes + 1, n) if window else n_modes
         while True:
@@ -268,14 +253,6 @@ def _solve(pair, n_modes, tol_deg, window):
         tol_deg=tol_deg,
         closed=window,
     )
-
-
-def _sparse_pays(n, k_ask):
-    return n >= SPARSE_MIN_NODES and k_ask <= SPARSE_MAX_MODE_FRACTION * n
-
-
-def _slicing_pays(n, k_ask):
-    return n >= SPARSE_MIN_NODES and k_ask <= SPARSE_MAX_SLICED_FRACTION * n
 
 
 def _solve_dense(pair, n_modes):
@@ -326,66 +303,24 @@ def _check_dense_budget(n, n_modes):
 
 
 class _SparseFallback(Exception):
-    """The sparse path cannot deliver a certified answer; use dense."""
-
-
-def _solve_sparse(pair, n_modes, tol_deg, counts):
-    """The closed window of n_modes by shift-invert Lanczos plus Rayleigh-Ritz.
-
-    Returns (values, vectors, k_ask): the `stop` lowest pairs, through the
-    end of the degeneracy group of mode n_modes - 1, and the number of
-    modes the last Lanczos run computed, grown from n_modes + 1 until that
-    group ends below the last of them.  Inertia counts certify that no
-    eigenvalue lies below the shift and exactly `stop` below the gap after
-    the group.  counts tallies the Lanczos runs and inertia factorizations.
-    Raises _SparseFallback when ARPACK fails, the cut cannot be closed
-    within one run's mode count, or an inertia count disagrees.
-    """
-    n = pair.node_count
-    stiffness, mass, mass_op = _sparse_operators(pair)
-    sigma = _ground_shift(stiffness, pair.mass)
-    counts["inertia"] += 1
-    lu, below = _ldlt_inertia(stiffness - sigma * mass)
-    if below != 0:
-        raise _SparseFallback(f"inertia count {below} below the shift {sigma:.3e}")
-
-    k_ask = n_modes + 1
-    while True:
-        _, basis = _lanczos(stiffness, mass_op, sigma, lu, k_ask, counts)
-        values, coeffs = _rayleigh_ritz(stiffness, pair.mass, basis)
-        stop = complete_group_count(degeneracy_partition(values, tol_deg), n_modes)
-        if stop < k_ask:
-            # Lanczos from one start vector can miss a copy of a multiple
-            # eigenvalue; the gap after the cut's group must have exactly
-            # `stop` eigenvalues below it
-            mu = 0.5 * (values[stop - 1] + values[stop])
-            counts["inertia"] += 1
-            _, below = _ldlt_inertia(stiffness - mu * mass)
-            if below == stop:
-                vectors = np.einsum("ia,ab->ib", basis, coeffs[:, :stop])
-                return values[:stop], vectors, k_ask
-            reason = f"inertia count {below} below {mu:.6e}, found {stop}"
-        else:
-            reason = f"cut at {n_modes} not closed"
-        k_ask += k_ask - n_modes + 1
-        if not _sparse_pays(n, k_ask):
-            raise _SparseFallback(f"{reason} within the crossover ({k_ask} modes)")
+    """Slicing cannot deliver a certified answer; use dense."""
 
 
 def _solve_sliced(pair, n_modes, tol_deg, counts):
     """The closed window of n_modes, one certified Lanczos run per slice.
 
     Spectrum slicing (Ericsson & Ruhe 1980; Grimes, Lewis & Simon 1994).
-    Slice 0 runs about the shift just below zero that _solve_sparse uses.
-    Each later slice runs about a shift placed above the last boundary by
-    Weyl's law: the counting function of a surface grows linearly, so the
-    mean spacing of the eigenvalues so far puts about 3/8 of the slice's
-    modes between the boundary and the shift.  Every slice ends at a new
-    boundary in a gap between degeneracy groups, certified by inertia
-    (see _slice).  The slices stop once the group of mode n_modes - 1 has
-    closed below the last boundary.  Returns (values, vectors, slices)
-    like _solve_sparse; raises _SparseFallback when a slice cannot be
-    certified.
+    Slice 0 runs about a shift just below zero, so a few modes take one
+    slice, one certified run.  Each later slice runs about a shift placed
+    above the last boundary by Weyl's law: the counting function of a
+    surface grows linearly, so the mean spacing of the eigenvalues so far
+    puts about 3/8 of the slice's modes between the boundary and the
+    shift.  Every slice ends at a new boundary in a gap between degeneracy
+    groups, certified by inertia (see _slice).  The slices stop once the
+    group of mode n_modes - 1 has closed below the last boundary.  Returns
+    (values, vectors, slices): the `stop` lowest pairs, through the end of
+    that group, and the number of slices; raises _SparseFallback when a
+    slice cannot be certified.
     """
     operators = _sparse_operators(pair)
     lower = sigma = _ground_shift(operators[0], pair.mass)
@@ -420,15 +355,16 @@ def _slice(pair, operators, sigma, lower, count, want, accepted, tol_deg, counts
     """About `want` eigenpairs from `lower` up, by shift-invert Lanczos about sigma.
 
     `count` eigenvalues lie below `lower`, and `accepted` holds their
-    eigenvectors in blocks.  Slice 0 (sigma == lower) asks for `want`
-    modes.  A later slice asks for twice the modes the inertia count at
-    sigma puts between `lower` and sigma, plus half of `want`, and its run
-    must reach back past `lower`; its basis is M0-orthogonalized against
-    the accepted blocks before Rayleigh-Ritz.  The highest group found may
-    miss copies beyond the run's reach, so the new boundary lies in the
-    gap below it, and the inertia count there must exceed `count` by
-    exactly the number accepted.  Otherwise the run is repeated with half
-    as many modes more, up to three runs.
+    eigenvectors in blocks.  Slice 0 (sigma == lower) must have no
+    eigenvalue below its shift, and asks for `want` modes.  A later slice
+    asks for twice the modes the inertia count at sigma puts between
+    `lower` and sigma, plus half of `want`, and its run must reach back
+    past `lower`; its basis is M0-orthogonalized against the accepted
+    blocks before Rayleigh-Ritz.  The highest group found may miss copies
+    beyond the run's reach, so the new boundary lies in the gap below it,
+    and the inertia count there must exceed `count` by exactly the number
+    accepted.  Otherwise the run is repeated with half as many modes more,
+    up to three runs.
     Returns (values, vectors, boundary, first value above the boundary).
     """
     n = pair.node_count
@@ -442,13 +378,7 @@ def _slice(pair, operators, sigma, lower, count, want, accepted, tol_deg, counts
         if k_ask is None:
             k_ask = want if sigma == lower else 2 * (below - count) + want // 2
         k_ask = min(max(k_ask, 2), n - 1)
-        # a Lanczos basis of 4 k / 3 vectors, not ARPACK's 2 k + 1: as many
-        # solves (3 k at 2562 nodes), a smaller basis, and on 2562 nodes
-        # the n x ncv products stay below 460,800 entries, from which
-        # OpenBLAS splits its dgemv across threads and the split changes
-        # the rounding
-        ncv = min(k_ask + max(k_ask // 3, 20), n)
-        reach, basis = _lanczos(stiffness, mass_op, sigma, lu, k_ask, counts, ncv)
+        reach, basis = _lanczos(stiffness, mass_op, sigma, lu, k_ask, counts)
         del lu  # one factorization held at a time
         if accepted:
             basis = _deflate(basis, accepted, pair.mass)
@@ -531,15 +461,19 @@ def _sparse_operators(pair):
     )
 
 
-def _lanczos(stiffness, mass_op, sigma, lu, k_ask, counts, ncv=None):
+def _lanczos(stiffness, mass_op, sigma, lu, k_ask, counts):
     """Ritz values and basis of the k_ask modes nearest sigma, from the fixed start vector.
 
-    lu factors K - sigma M0; ARPACK in shift-invert mode, with a basis of
-    ncv vectors (ARPACK's default 2 k_ask + 1 when None).
+    lu factors K - sigma M0; ARPACK in shift-invert mode.
     """
     import scipy.sparse.linalg as spla
 
     n = stiffness.shape[0]
+    # a basis of k + max(k / 3, 20) vectors, not ARPACK's 2 k + 1: as many
+    # solves (3 k at 2562 nodes), a smaller basis, and on 2562 nodes the
+    # n x ncv products stay below 460,800 entries, from which OpenBLAS
+    # splits its dgemv across threads and the split changes the rounding
+    ncv = min(k_ask + max(k_ask // 3, 20), n)
     shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     counts["lanczos"] += 1

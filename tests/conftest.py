@@ -87,13 +87,13 @@ def rng():
 def solver_counts(monkeypatch):
     """Counts calls into the solver internals while a test runs.
 
-    "sparse" counts Lanczos solves (eigen._solve_sparse), "inertia" the
+    "lanczos" counts Lanczos runs (eigen._lanczos), "inertia" the
     LDL^T inertia factorizations, "bordered" the bordered factorizations
     of degeneracy groups (perturb._group_solve), and "modes" lists the
     modes each call of the solve shared by eigen.solve and
     eigen.solve_window returned.
     """
-    counts = {"sparse": 0, "inertia": 0, "bordered": 0, "modes": []}
+    counts = {"lanczos": 0, "inertia": 0, "bordered": 0, "modes": []}
 
     def count(owner, name, key):
         real = getattr(owner, name)
@@ -104,7 +104,7 @@ def solver_counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(eigen, "_solve_sparse", "sparse")
+    count(eigen, "_lanczos", "lanczos")
     count(eigen, "_ldlt_inertia", "inertia")
     count(perturb, "_group_solve", "bordered")
     shared = eigen._solve

@@ -101,20 +101,19 @@ def test_obstruction_end_to_end(tmp_path):
 
 def test_obstruction_window_is_solver_independent(tmp_path, monkeypatch, caplog, icosphere2_path):
     # ten modes on icosphere 2 (levels of 1, 3, 5 and 4 modes) cut the fourth
-    # level; over the widened window of 13 modes the dense and the sparse
+    # level; over the widened window of 13 modes the dense and the sliced
     # solver span the same eigenspaces, so the singular values agree
     config = write_config(
         tmp_path, {"surface": {"kind": "mesh", "path": str(icosphere2_path)}, "n_modes": 10}
     )
     caplog.set_level(logging.DEBUG, logger="isospec.eigen")
     runs = []
-    for name in ("dense", "sparse"):
-        if name == "sparse":
+    for name in ("dense", "sliced"):
+        if name == "sliced":
             monkeypatch.setattr(eigen, "SPARSE_MIN_NODES", 100)
-            monkeypatch.setattr(eigen, "SPARSE_MAX_MODE_FRACTION", 0.5)
         caplog.clear()
         assert cli.main(["obstruction", "--config", config, "--out", str(tmp_path / name)]) == 0
-        assert f"({name}" in caplog.text
+        assert f"({name})" in caplog.text
         runs.append(json.loads((tmp_path / name / "obstruction.json").read_text()))
     assert runs[0]["n_modes"] == runs[1]["n_modes"] == 13
     np.testing.assert_allclose(

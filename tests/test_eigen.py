@@ -175,7 +175,7 @@ def test_solver_tolerates_scaled_spectra():
     assert np.allclose(spectral.eigenvalues, 1e6 * base.eigenvalues, rtol=1e-11)
 
 
-# ---------------------------------------------------------------- sparse path
+# ------------------------------------------------------- sliced path, one slice
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +233,7 @@ def scaled_gap(values, reference):
 @pytest.mark.parametrize("k", [8, 11, 13, 20])
 def test_sparse_torus48_matches_dense_and_symbol(pair48, dense48, caplog, k):
     spectral, log = solve_logged(caplog, pair48, k)
-    assert "(sparse, k_ask=" in log
+    assert "(sliced)" in log
     lam = spectral.eigenvalues
     assert scaled_gap(lam, dense48[0][:k]) <= 1e-10
     h = 1.0 / 48
@@ -245,7 +245,7 @@ def test_sparse_torus48_matches_dense_and_symbol(pair48, dense48, caplog, k):
 @pytest.mark.parametrize("k", [8, 10, 20])
 def test_sparse_ico4_matches_dense(pair_ico4, dense_ico4, caplog, k):
     spectral, log = solve_logged(caplog, pair_ico4, k)
-    assert "(sparse, k_ask=" in log
+    assert "(sliced)" in log
     assert scaled_gap(spectral.eigenvalues, dense_ico4[0][:k]) <= 1e-10
 
 
@@ -256,7 +256,7 @@ def test_sparse_group_projectors_match_dense(request, caplog, pair_name, dense_n
     pair = request.getfixturevalue(pair_name)
     values, vectors = request.getfixturevalue(dense_name)
     spectral, log = solve_logged(caplog, pair, 20)
-    assert "(sparse, k_ask=" in log
+    assert "(sliced)" in log
     for members in eigen.degeneracy_partition(values, eigen.DEFAULT_TOL_DEG):
         if members[-1] >= 20:
             break
@@ -294,14 +294,14 @@ def test_solve_window_closes_the_cut_group():
 
 def test_solve_window_is_one_sparse_solve(pair48, dense48, solver_counts, caplog):
     # 10 modes of the 48 x 48 torus end inside the level of modes 9-12:
-    # one Lanczos solve grows k_ask 11 -> 13 -> 17, closes that level and
-    # certifies it with its two inertia counts; that run is the window
+    # one slice, one Lanczos run, closes that level and certifies it with
+    # its two inertia counts; that run is the window
     caplog.set_level(logging.DEBUG, logger="isospec.eigen")
     window = eigen.solve_window(pair48, 10)
-    assert solver_counts["sparse"] == 1 and solver_counts["inertia"] == 2
+    assert solver_counts["lanczos"] == 1 and solver_counts["inertia"] == 2
     assert (
-        "solved 13 modes (sparse, k_ask=17), 10 requested, 13 returned, "
-        "3 Lanczos runs, 2 inertia factorizations" in caplog.text
+        "solved 13 modes (sliced), 10 requested, 13 returned, "
+        "1 Lanczos runs, 2 inertia factorizations, 1 slices" in caplog.text
     )
     assert window.closed and window.n_modes == 13
     assert scaled_gap(window.eigenvalues, dense48[0][:13]) <= 1e-12
@@ -312,6 +312,21 @@ def test_solve_window_is_one_sparse_solve(pair48, dense48, solver_counts, caplog
     head = eigen.solve(pair48, 10)
     assert np.array_equal(head.eigenvalues, window.eigenvalues[:10])
     assert np.array_equal(head.eigenvectors, window.eigenvectors[:, :10])
+
+
+@pytest.mark.parametrize(
+    "size, n_modes, window", [(32, 10, True), (48, 30, False)], ids=["torus32-window", "torus48-30"]
+)
+def test_first_slice_closes_the_cut_in_one_run(solver_counts, caplog, size, n_modes, window):
+    # the 10-mode window of the 32 x 32 torus (1,024 nodes) and 30 modes of
+    # the 48 x 48 torus each come from one certified run, not from dense
+    pair = assemble_base(make_torus(size, size, 1.0, 1.0))
+    caplog.set_level(logging.DEBUG, logger="isospec.eigen")
+    spectral = (eigen.solve_window if window else eigen.solve)(pair, n_modes)
+    assert "(sliced)" in caplog.text and "1 Lanczos runs" in caplog.text
+    assert solver_counts["lanczos"] == 1 and solver_counts["inertia"] == 2
+    values, _ = dense_reference(pair, spectral.n_modes)
+    assert scaled_gap(spectral.eigenvalues, values) <= 1e-10
 
 
 _DIGEST_SCRIPT = """
@@ -353,7 +368,7 @@ def test_sparse_path_choice(pair_ico4, eigsh_calls, caplog):
     assert eigsh_calls == []
     eigen.solve(pair32, 8)
     assert eigsh_calls
-    # more modes than one run serves: slices, not the dense matrix
+    # 200 modes of ico4: several slices, not the dense matrix
     eigsh_calls.clear()
     _, log = solve_logged(caplog, pair_ico4, 200)
     assert "(sliced)" in log
@@ -364,7 +379,7 @@ def test_solve_logs_path(pair16, pair48, caplog):
     _, log = solve_logged(caplog, pair16, 5)
     assert "solved 5 modes (dense)" in log
     _, log = solve_logged(caplog, pair48, 13)
-    assert "solved 13 modes (sparse, k_ask=14)" in log
+    assert "solved 13 modes (sliced)" in log
     # the ground eigenvalue lies below the shift: the inertia count sends
     # the solve to dense
     shifted = OperatorPair(
@@ -373,12 +388,12 @@ def test_solve_logs_path(pair16, pair48, caplog):
         mass=pair48.mass,
     )
     spectral, log = solve_logged(caplog, shifted, 8)
-    assert "solved 8 modes (dense, sparse fallback: inertia count 1 below the shift" in log
+    assert "solved 8 modes (dense, sliced fallback: inertia count 1 below the shift" in log
     assert spectral.eigenvalues[0] == pytest.approx(-20.0, rel=1e-10)
 
 
 def test_fd_corrections_zero_field_sparse(pair48):
-    # the centre and the +-h solves all take the sparse path on bit-equal
+    # the centre and the +-h solves all take one slice on bit-equal
     # matrices, so the second difference cancels exactly
     spectral = eigen.solve_window(pair48, 10)
     pert = ConformalPerturbation(
@@ -390,7 +405,7 @@ def test_fd_corrections_zero_field_sparse(pair48):
     assert np.all(fd2 == 0.0)
 
 
-# --------------------------------------------------------------- sliced path
+# ----------------------------------------------------- sliced path, many slices
 
 
 @pytest.fixture(scope="module")
@@ -441,7 +456,6 @@ def test_slice_boundary_next_to_an_eightfold_level(pair48, monkeypatch, caplog):
     # frequencies (+-2, +-1) and (+-1, +-2).  Slices of 16 modes put the
     # first boundary in the gap just below it, so the second slice must
     # find all eight copies, and no copy may come back twice.
-    monkeypatch.setattr(eigen, "SPARSE_MAX_MODE_FRACTION", 1e-3)
     monkeypatch.setattr(eigen, "SPARSE_SLICE_MODES", 16)
     slices = []
     real = eigen._slice
@@ -588,7 +602,7 @@ def test_dense_budget_refuses_before_allocating(pair16, monkeypatch):
 
 
 def test_dense_budget_covers_the_sparse_fallback(pair48, monkeypatch):
-    # the ground eigenvalue lies below the shift, so the sparse path falls
+    # the ground eigenvalue lies below the shift, so slicing falls
     # back to dense
     shifted = OperatorPair(
         surface=pair48.surface,
