@@ -28,6 +28,7 @@ from .errors import (
     DegenerateTriangleError,
     ExpressionError,
     GridTooSmallError,
+    InsufficientModesError,
     IsospecError,
     MeshParseError,
     MeshTopologyError,
@@ -62,6 +63,7 @@ _CONFIG_ERRORS = (
     GridTooSmallError,
     DegenerateTriangleError,
     ModeCountError,
+    InsufficientModesError,
 )
 
 _COMMON_KEYS = {"surface", "n_modes", "tol_deg", "seed"}

@@ -61,6 +61,13 @@ SPARSE_SLICE_MODES = 120
 SPARSE_MAX_SLICED_FRACTION = 1.0 / 8.0
 # shift just below the spectrum of a Laplacian, relative to max K_ii / M_ii
 SPARSE_SHIFT_REL = 1e-6
+# Implicit restarts per Lanczos run.  Converging runs take 5-20 (every run
+# of the 48 x 48 torus and icosphere 4 up to 300 modes, the 100 x 100 and
+# 150 x 150 tori, icosphere 5); scipy's default, 10 n, let one run about a
+# shift between two near-degenerate clusters of icosphere 4 restart 25,621
+# times (435 s on 2 cores, one OpenBLAS thread) before the solve fell back
+# to dense; with this bound it falls back in 4.6 s.
+ARPACK_MAX_RESTARTS = 100
 # A dense solve of k modes on n nodes holds 8 n (n + k) bytes; above this
 # budget it is refused with a numerical error rather than left to fail
 # allocating, or to the out-of-memory killer.
@@ -133,17 +140,18 @@ def degeneracy_partition(values, tol_deg):
     closure of that relation.
     """
     values = np.asarray(values, dtype=float)
-    groups = []
-    current = [0]
-    for i in range(1, values.shape[0]):
-        if abs(values[i] - values[i - 1]) <= tol_deg * (1.0 + abs(values[i - 1])):
-            current.append(i)
-        else:
-            groups.append(tuple(current))
-            current = [i]
-    if current:
-        groups.append(tuple(current))
-    return tuple(groups)
+    runs = _runs(values, tol_deg * (1.0 + np.abs(values[:-1])))
+    return tuple(tuple(run.tolist()) for run in runs)
+
+
+def _runs(values, tol):
+    """Index arrays of the maximal runs of consecutive near-equal values.
+
+    A run ends wherever the gap |v[i] - v[i-1]| is not within tol, one
+    bound or one per gap, so a NaN gap ends it too; no values, no runs.
+    """
+    cuts = np.flatnonzero(~(np.abs(np.diff(values)) <= tol)) + 1
+    return np.split(np.arange(len(values)), cuts) if len(values) else []
 
 
 def complete_group_count(groups, n_modes):
@@ -481,6 +489,7 @@ def _lanczos(stiffness, mass_op, sigma, lu, k_ask, counts):
         return spla.eigsh(
             stiffness, k_ask, M=mass_op, sigma=sigma, which="LM",
             v0=start, tol=0, OPinv=shift_invert, ncv=ncv,
+            maxiter=ARPACK_MAX_RESTARTS,
         )
     except spla.ArpackError as exc:
         raise _SparseFallback(f"ARPACK failed at k_ask={k_ask}: {exc}") from exc

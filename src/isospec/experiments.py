@@ -411,7 +411,7 @@ def weyl_volume_estimate(spectral):
     counts = np.arange(1, n + 1, dtype=float)
     denom = float(np.sum(lam * lam))
     if denom <= 0.0:
-        raise InsufficientModesError("spectrum has no positive eigenvalues")
+        raise NumericalBreakdownError("spectrum has no positive eigenvalues")
     return float(4.0 * np.pi * np.sum(counts * lam) / denom)
 
 

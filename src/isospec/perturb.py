@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .eigen import _fix_signs
+from .eigen import _fix_signs, _runs
 from .errors import ModeCountError, NumericalBreakdownError, SmallGapError
 
 GAP_GUARD = 1e-12
@@ -109,14 +109,10 @@ def _group_solve(ops, psi, lam, members):
     psi_g = psi[:, sl]
     n, m = psi_g.shape
     border = mass[:, None] * psi_g
-    # [[lam_g M0 - K, border], [border^T, 0]], assembled from triplets; the
-    # conversion sums the diagonal of K with lam_g M0
-    k = ops.pair.stiffness.tocoo()
-    nodes, extra = np.arange(n), n + np.arange(m)
-    rows = np.concatenate([k.row, nodes, np.repeat(nodes, m), np.tile(extra, n)])
-    cols = np.concatenate([k.col, nodes, np.tile(extra, n), np.repeat(nodes, m)])
-    values = np.concatenate([-k.data, lam_g * mass, border.ravel(), border.ravel()])
-    bordered = scipy.sparse.csc_matrix((values, (rows, cols)), shape=(n + m, n + m))
+    bordered = scipy.sparse.bmat(
+        [[scipy.sparse.diags(lam_g * mass) - ops.pair.stiffness, border], [border.T, None]],
+        format="csc",
+    )
     h1psi = ops.apply_h1(psi_g)
     rhs = np.zeros((n + m, m))
     rhs[:n] = mass[:, None] * h1psi - border @ (border.T @ h1psi)
@@ -157,7 +153,7 @@ def _check_orthogonal(border, x, members):
         )
 
 
-def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
+def adapt_degenerate_basis(spectral, ops):
     """Rotate degeneracy groups so the perturbation formulas apply per branch.
 
     Stage 1 diagonalizes the projected H1 on every multi-member group.
@@ -182,14 +178,13 @@ def adapt_degenerate_basis(spectral, ops, tie_tol=TIE_TOL):
         psi[:, g] = psi[:, g] @ r
         # M2 spans every mode outside the group, so the rotations of other
         # groups leave it unchanged
-        tol = tie_tol * (1.0 + abs(float(np.mean(lam[g]))))
-        runs = [run for run in _tie_runs(d, tol) if len(run) > 1]
+        runs = [run for run in _ties(d, lam[g]) if len(run) > 1]
         if runs:
             m2 = _group_solve(ops, psi, lam, members)[1]
             m2 = 0.5 * (m2 + m2.T)
         for run in runs:
             _, r2 = _ascending_eigensystem(m2[np.ix_(run, run)])
-            cols = members[0] + np.array(run)
+            cols = members[0] + run
             psi[:, cols] = psi[:, cols] @ r2
             r[:, run] = r[:, run] @ r2
         # deterministic signs, folded into the recorded rotation
@@ -214,28 +209,21 @@ def _ascending_eigensystem(block):
     diag = np.diag(block).copy()
     off = np.abs(block - np.diag(diag)).max()
     if off <= 1e-13 * (1.0 + np.abs(diag).max()):
-        order = list(np.argsort(diag, kind="stable"))
+        order = np.argsort(diag, kind="stable")
         # don't let rounding noise reorder effectively-equal branches
-        tol_same = 1e-12 * (1.0 + np.abs(diag).max())
-        start = 0
-        for i in range(1, len(order) + 1):
-            if i == len(order) or diag[order[i]] - diag[order[i - 1]] > tol_same:
-                order[start:i] = sorted(order[start:i])
-                start = i
-        order = np.array(order)
+        runs = _runs(diag[order], 1e-12 * (1.0 + np.abs(diag).max()))
+        order = np.concatenate([np.sort(order[run]) for run in runs])
         return diag[order], np.eye(block.shape[0])[:, order]
     return scipy.linalg.eigh(block)
 
 
-def _tie_runs(values, tol):
-    """Runs of consecutive near-equal values (local indices, values sorted)."""
-    runs = [[0]]
-    for i in range(1, len(values)):
-        if abs(values[i] - values[i - 1]) <= tol:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    return runs
+def _ties(lambda1, lambda0):
+    """Runs of tied first-order corrections in one degeneracy group.
+
+    lambda1 ascending, lambda0 the group's eigenvalues; local indices.
+    Branches tie within TIE_TOL * (1 + |lambda_g|), lambda_g the group mean.
+    """
+    return _runs(lambda1, TIE_TOL * (1.0 + abs(float(np.mean(lambda0)))))
 
 
 def _check_adapted(psi, lam, ops, groups, rotated):
@@ -327,7 +315,7 @@ def compute_corrections(spectral, ops):
     )
 
 
-def branch_permutation(report, sign, tie_tol=TIE_TOL):
+def branch_permutation(report, sign):
     """Mode order matching the ascending exact spectrum at parameter sign.
 
     Within each degeneracy group the adapted branches carry distinct
@@ -342,9 +330,7 @@ def branch_permutation(report, sign, tie_tol=TIE_TOL):
         if len(members) == 1 or sign > 0:
             perm.extend(members)
             continue
-        lam_g = float(np.mean(report.lambda0[members]))
-        l1 = report.lambda1[members]
-        runs = _tie_runs(l1, tie_tol * (1.0 + abs(lam_g)))
+        runs = _ties(report.lambda1[members], report.lambda0[members])
         for run in reversed(runs):
             perm.extend(members[i] for i in run)
     return np.array(perm, dtype=np.int64)

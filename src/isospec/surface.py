@@ -81,21 +81,6 @@ class DiscreteSurface:
     euler_characteristic: int | None = None
     genus: int | None = None
 
-    def validate(self):
-        """Re-run the construction invariants; raises on violation."""
-        if self.kind is SurfaceKind.TORUS_GRID:
-            if self.nx < MIN_GRID_DIM or self.ny < MIN_GRID_DIM:
-                raise GridTooSmallError(
-                    f"torus grid must be at least {MIN_GRID_DIM}x{MIN_GRID_DIM}, "
-                    f"got {self.nx}x{self.ny}"
-                )
-            if not (self.lx > 0 and self.ly > 0):
-                raise GridTooSmallError("torus periods must be positive")
-            if self.node_count != self.nx * self.ny:
-                raise GridTooSmallError("node_count does not match grid dimensions")
-        else:
-            _validate_mesh_topology(self.vertices, self.faces)
-
     @property
     def cell_area(self):
         """Uniform cell area of the torus grid."""
@@ -195,7 +180,7 @@ def make_torus(nx, ny, lx, ly):
             f"torus periods {lx}, {ly} give 1/h^2 = 0 or a non-finite "
             "spectral bound 4/hx^2 + 4/hy^2"
         )
-    surf = DiscreteSurface(
+    return DiscreteSurface(
         kind=SurfaceKind.TORUS_GRID,
         node_count=nx * ny,
         nx=nx,
@@ -203,8 +188,6 @@ def make_torus(nx, ny, lx, ly):
         lx=float(lx),
         ly=float(ly),
     )
-    surf.validate()
-    return surf
 
 
 def load_mesh(path):

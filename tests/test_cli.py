@@ -363,6 +363,20 @@ def test_basis_larger_than_surface_is_config_error(tmp_path, capsys):
     assert "basis_size" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "nx, flags", [(8, ["--modes", "10"]), (4, [])], ids=["modes-flag", "clamped"]
+)
+def test_weyl_with_too_few_modes_is_config_error(tmp_path, capsys, nx, flags):
+    # the 4 x 4 torus clamps weyl's 100 modes to its 16 nodes
+    config = write_config(tmp_path, torus_config(nx=nx))
+    out = tmp_path / "out"
+    assert cli.main(["weyl", "--config", config, "--out", str(out), *flags]) == 2
+    record = only_error(capsys)
+    assert record["error"] == "InsufficientModesError"
+    assert "at least 50 modes" in record["message"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 # ------------------------------------------------------------ numerical errors
 
 

@@ -74,6 +74,10 @@ def test_degeneracy_partition_examples():
     assert part == ((0,), (1,), (2,), (3,))
     part = eigen.degeneracy_partition(np.array([1.0, 1.0, 1.0]), 1e-12)
     assert part == ((0, 1, 2),)
+    # a NaN gap splits; no values, no groups
+    part = eigen.degeneracy_partition(np.array([1.0, 1.0, np.nan, np.nan]), 1e-9)
+    assert part == ((0, 1), (2,), (3,))
+    assert eigen.degeneracy_partition(np.array([]), 1e-9) == ()
 
 
 def test_solve_deterministic(pair16):
@@ -427,7 +431,7 @@ def rayleigh_quotients(pair, vectors):
     return num / np.einsum("ia,ia,i->a", vectors, vectors, pair.mass)
 
 
-@pytest.mark.parametrize("k", [50, 100, 200])
+@pytest.mark.parametrize("k", [50, 100, 120, 200])
 @pytest.mark.parametrize(
     "pair_name, dense_name", [("pair48", "many48"), ("pair_ico4", "many_ico4")]
 )
@@ -436,6 +440,11 @@ def test_sliced_matches_dense(request, caplog, pair_name, dense_name, k):
     values, vectors = request.getfixturevalue(dense_name)
     spectral, log = solve_logged(caplog, pair, k)
     assert "(sliced)" in log
+    if pair_name == "pair_ico4" and k == 120:
+        # the second run finds nothing between its highest value and its
+        # shift, so the shift is the boundary, certified by the inertia
+        # count already taken there
+        assert "2 Lanczos runs, 3 inertia factorizations, 2 slices" in log
     reference = rayleigh_quotients(pair, vectors[:, :k])
     assert scaled_gap(spectral.eigenvalues, reference) <= 1e-12
     groups = eigen.degeneracy_partition(values[:k], eigen.DEFAULT_TOL_DEG)
@@ -449,6 +458,22 @@ def test_sliced_matches_dense(request, caplog, pair_name, dense_name, k):
         outside = ours - ref @ (ref.T @ (pair.mass[:, None] * ours))
         sine = np.sqrt(np.max(np.einsum("ia,ia,i->a", outside, outside, pair.mass)))
         assert sine <= 1e-8
+
+
+def test_lanczos_restarts_are_bounded(pair_ico4, many_ico4, monkeypatch):
+    # the third slice of 124 modes runs about a shift between two
+    # near-degenerate clusters, where ARPACK does not converge; with
+    # scipy's default of 10 n restarts it ran for minutes before falling back
+    real = spla.eigsh
+
+    def bounded(*args, **kwargs):
+        assert kwargs.get("maxiter", np.inf) <= 1000
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", bounded)
+    spectral = eigen.solve(pair_ico4, 124)
+    reference = rayleigh_quotients(pair_ico4, many_ico4[1][:, :124])
+    assert scaled_gap(spectral.eigenvalues, reference) <= 1e-12
 
 
 def test_slice_boundary_next_to_an_eightfold_level(pair48, monkeypatch, caplog):

@@ -461,6 +461,14 @@ def test_branch_permutation_signs():
     assert list(branch_permutation(report, -1.0)) == [3, 2, 0, 1]
 
 
+def test_diagonal_block_keeps_near_equal_branches_in_index_order():
+    # 1 + 1e-14 and 1 differ by rounding noise, so they keep their index
+    # order instead of being sorted by value
+    values, rotation = perturb._ascending_eigensystem(np.diag([2.0, 1.0 + 1e-14, 1.0]))
+    assert list(values) == [1.0 + 1e-14, 1.0, 2.0]
+    assert np.array_equal(rotation, np.eye(3)[:, [1, 2, 0]])
+
+
 def test_predicted_spectrum_algebra():
     report = fabricated_report()
     t = 0.01

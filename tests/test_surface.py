@@ -63,8 +63,6 @@ def test_octahedron_mesh_valid(octahedron_path):
     assert surface.node_count == 6
     assert surface.euler_characteristic == 2
     assert surface.genus == 0
-    surface.validate()  # idempotent re-validation
-    surface.validate()
 
 
 def test_icosphere_mesh_valid(icosphere_path):
