@@ -56,30 +56,32 @@ class OperatorPair:
 
     def apply_laplacian(self, v):
         """Apply Delta0 = M0^-1 K to a vector or a matrix of columns."""
-        out = self.stiffness @ v
-        if out.ndim == 1:
-            return out / self.mass
-        return out / self.mass[:, None]
+        return ((self.stiffness @ v).T / self.mass).T
 
     def validate(self):
-        """Check symmetry, kernel, and mass positivity invariants."""
+        """Check finiteness, symmetry, kernel, and mass positivity invariants.
+
+        Each check is written so that a NaN fails it.
+        """
         K = self.stiffness
         if K.shape != (self.node_count, self.node_count):
             raise NumericalBreakdownError("stiffness shape does not match mass")
+        if not (np.all(np.isfinite(K.data)) and np.all(np.isfinite(self.mass))):
+            raise NumericalBreakdownError("stiffness or mass has non-finite entries")
         scale = np.abs(K).max()
         asym = np.abs(K - K.T).max()
-        if asym > 1e-12 * max(scale, 1.0):
+        if not asym <= 1e-12 * max(scale, 1.0):
             raise NumericalBreakdownError(f"stiffness asymmetry {asym:.3e}")
         kernel_residual = np.abs(K @ np.ones(self.node_count)).max()
-        if kernel_residual > 1e-10 * max(scale, 1.0):
+        if not kernel_residual <= 1e-10 * max(scale, 1.0):
             raise NumericalBreakdownError(
                 f"stiffness does not annihilate constants: {kernel_residual:.3e}"
             )
-        if np.any(self.mass <= 0.0):
+        if not np.all(self.mass > 0.0):
             raise NumericalBreakdownError("mass diagonal has nonpositive entries")
         if self.surface is not None:
             area = analytic_area(self.surface)
-            if abs(self.total_mass - area) > 1e-10 * area:
+            if not abs(self.total_mass - area) <= 1e-10 * area:
                 raise NumericalBreakdownError(
                     f"total mass {self.total_mass!r} != surface area {area!r}"
                 )
@@ -105,22 +107,14 @@ class PerturbationOperators:
 
     def apply_h1(self, v):
         """H1 v = h1_multiplier * (Delta0 v); works on column stacks."""
-        out = self.pair.apply_laplacian(v)
-        if out.ndim == 1:
-            return self.h1_multiplier * out
-        return self.h1_multiplier[:, None] * out
+        return (self.h1_multiplier * self.pair.apply_laplacian(v).T).T
 
     def apply_h2(self, v):
-        out = self.pair.apply_laplacian(v)
-        if out.ndim == 1:
-            return self.h2_multiplier * out
-        return self.h2_multiplier[:, None] * out
+        return (self.h2_multiplier * self.pair.apply_laplacian(v).T).T
 
     def apply_h1_adjoint(self, v):
         """M0-adjoint of H1: Delta0 (h1_multiplier * v)."""
-        if v.ndim == 1:
-            return self.pair.apply_laplacian(self.h1_multiplier * v)
-        return self.pair.apply_laplacian(self.h1_multiplier[:, None] * v)
+        return self.pair.apply_laplacian((self.h1_multiplier * v.T).T)
 
 
 def analytic_area(surface):
@@ -175,6 +169,9 @@ def _assemble_torus(surface):
     return OperatorPair(surface=surface, stiffness=stiffness, mass=mass)
 
 
+# coordinates far from unit scale over- or underflow the areas into a
+# non-finite K or mass, which validate() rejects; numpy stays silent
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _assemble_mesh(surface):
     v = surface.vertices
     f = surface.faces
@@ -219,11 +216,12 @@ def _assemble_mesh(surface):
 def conformal_operators(pair, pert):
     """Expand a conformal perturbation into (H1, H2, G1, G2).
 
-    Inverse-metric side, factor c(t) = 1 + t f1 + t^2 f2 on the inverse
-    metric: H1 = F1 Delta0, H2 = F2 Delta0.  The 2D volume form scales as
-    1/c(t), so G1 = -F1 and G2 = F1^2 - F2.
+    A factor c(t) = 1 + t c1 + t^2 c2 on the inverse metric gives
+    H1 = C1 Delta0, H2 = C2 Delta0.  The 2D volume form scales as 1/c(t),
+    so G1 = -C1 and G2 = C1^2 - C2.
 
-    Metric side, factor 1 + t f1 on the metric: the reciprocal expansion
+    Inverse-metric side: (c1, c2) = (f1, f2).  Metric side, factor 1 + t f1
+    on the metric: c(t) = 1/(1 + t f1), so (c1, c2) = (-f1, f1^2), which
     gives H1 = -F1 Delta0, H2 = F1^2 Delta0, G1 = F1, G2 = 0.
 
     Finite fields whose squares overflow raise NumericalBreakdownError.
@@ -233,24 +231,14 @@ def conformal_operators(pair, pert):
             "perturbation and operator pair live on different surfaces"
         )
     f1 = pert.f1.values
-    f2 = pert.f2_values()
     with np.errstate(over="ignore", invalid="ignore"):
         if pert.side is PerturbationSide.INVERSE_METRIC:
-            ops = PerturbationOperators(
-                pair=pair,
-                h1_multiplier=f1,
-                h2_multiplier=f2,
-                g1=-f1,
-                g2=f1 * f1 - f2,
-            )
+            c1, c2 = f1, pert.f2_values()
         else:
-            ops = PerturbationOperators(
-                pair=pair,
-                h1_multiplier=-f1,
-                h2_multiplier=f1 * f1,
-                g1=f1.copy(),
-                g2=np.zeros_like(f1),
-            )
+            c1, c2 = -f1, f1 * f1
+        ops = PerturbationOperators(
+            pair=pair, h1_multiplier=c1, h2_multiplier=c2, g1=-c1, g2=c1 * c1 - c2
+        )
     for name in ("h1_multiplier", "h2_multiplier", "g1", "g2"):
         if not np.all(np.isfinite(getattr(ops, name))):
             raise NumericalBreakdownError(

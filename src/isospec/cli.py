@@ -2,9 +2,10 @@
 
 Each subcommand reads a JSON config, runs the selected pipeline, and
 writes its artifacts plus a run manifest into the output directory.
-Exit codes: 0 success, 2 config problem, 3 numerical failure.  Errors
-are reported as a one-line JSON record on stderr.  The env var
-ISOSPEC_LOG sets the logging level (DEBUG, INFO, WARNING, ...).
+Exit codes: 0 success, 2 bad input (an InputError), 3 numerical failure
+(any other IsospecError, or running out of memory).  Errors are reported
+as a one-line JSON record on stderr.  The env var ISOSPEC_LOG sets the
+logging level (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -23,17 +24,7 @@ import scipy
 
 from . import __version__, eigen
 from .assembly import analytic_area, assemble_base, conformal_operators
-from .errors import (
-    ConfigError,
-    DegenerateTriangleError,
-    ExpressionError,
-    GridTooSmallError,
-    InsufficientModesError,
-    IsospecError,
-    MeshParseError,
-    MeshTopologyError,
-    ModeCountError,
-)
+from .errors import ConfigError, InputError, IsospecError
 from .experiments import (
     DEFAULT_KERNEL_TOL,
     convexity_probe,
@@ -53,18 +44,6 @@ from .surface import (
 )
 
 logger = logging.getLogger(__name__)
-
-# raised by bad inputs rather than by the mathematics
-_CONFIG_ERRORS = (
-    ConfigError,
-    ExpressionError,
-    MeshParseError,
-    MeshTopologyError,
-    GridTooSmallError,
-    DegenerateTriangleError,
-    ModeCountError,
-    InsufficientModesError,
-)
 
 _COMMON_KEYS = {"surface", "n_modes", "tol_deg", "seed"}
 _EXTRA_KEYS = {
@@ -405,6 +384,13 @@ def _configure_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def _report_error(exc):
     record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
@@ -417,18 +403,15 @@ def main(argv=None):
         return run_selftest(seed=args.seed)
     try:
         config = load_config(args.command, args)
-        os.makedirs(config.out_dir, exist_ok=True)
+        _make_out_dir(config.out_dir)
         started = time.monotonic()
         artifacts = _RUNNERS[args.command](config)
         _write_manifest(config, artifacts, time.monotonic() - started)
-    except _CONFIG_ERRORS as exc:
-        logger.debug("config failure", exc_info=True)
+    except (IsospecError, MemoryError) as exc:
+        code = 2 if isinstance(exc, InputError) else 3
+        logger.debug("run failed with exit code %d", code, exc_info=True)
         _report_error(exc)
-        return 2
-    except IsospecError as exc:
-        logger.debug("numerical failure", exc_info=True)
-        _report_error(exc)
-        return 3
+        return code
     return 0
 
 

@@ -3,6 +3,9 @@
 Numerical experiments fail in ways a caller may want to distinguish
 (bad input file vs. violated positivity vs. a spectral gap collapsing),
 so every failure mode gets its own class under :class:`IsospecError`.
+The classes under :class:`InputError` blame the input; every other
+class is a numerical failure.  The command line exits 2 for the first
+family and 3 for the second.
 """
 
 
@@ -10,24 +13,40 @@ class IsospecError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class GridTooSmallError(IsospecError):
+class InputError(IsospecError):
+    """Base class for errors raised by bad inputs rather than the mathematics."""
+
+
+class GridTooSmallError(InputError):
     """Torus grid dimensions below the supported minimum."""
 
 
-class MeshParseError(IsospecError):
-    """Malformed OFF file (bad header, counts, or face records)."""
+class MeshParseError(InputError):
+    """Unreadable or malformed OFF file (bad header, counts, or face records)."""
 
 
-class MeshTopologyError(IsospecError):
+class MeshTopologyError(InputError):
     """Mesh is not a closed, connected, consistently oriented 2-manifold."""
 
 
-class ExpressionError(IsospecError):
+class ExpressionError(InputError):
     """Field expression uses an unsupported construct."""
 
 
-class DegenerateTriangleError(IsospecError):
+class DegenerateTriangleError(InputError):
     """A triangle's area is numerically zero relative to the mesh scale."""
+
+
+class ModeCountError(InputError):
+    """Mismatched number of modes between spectral data and operators."""
+
+
+class InsufficientModesError(InputError):
+    """Too few modes for the requested asymptotic estimate."""
+
+
+class ConfigError(InputError):
+    """Invalid experiment configuration."""
 
 
 class SurfaceMismatchError(IsospecError):
@@ -50,17 +69,5 @@ class SmallGapError(IsospecError):
     """A cross-group spectral gap fell below the division guard."""
 
 
-class ModeCountError(IsospecError):
-    """Mismatched number of modes between spectral data and operators."""
-
-
 class RankDeficientBasisError(IsospecError):
     """Field basis for the obstruction map is numerically rank deficient."""
-
-
-class InsufficientModesError(IsospecError):
-    """Too few modes for the requested asymptotic estimate."""
-
-
-class ConfigError(IsospecError):
-    """Invalid experiment configuration."""

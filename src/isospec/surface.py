@@ -196,8 +196,11 @@ def load_mesh(path):
     Validates closedness (every edge shared by exactly two faces),
     consistent orientation, and connectedness; rejects anything else.
     """
-    with open(path, "r") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshParseError(f"{path}: cannot read mesh file: {exc}") from exc
     vertices, faces = _parse_off(text, str(path))
     return mesh_from_arrays(vertices, faces)
 

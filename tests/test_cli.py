@@ -10,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from isospec import cli, eigen
+from isospec import cli, eigen, errors
 from isospec.selftest import run_selftest
+
+from conftest import OCTAHEDRON_OFF
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -199,6 +201,40 @@ def test_log_level_env(tmp_path, monkeypatch):
     assert cli.main(["spectrum", "--config", config, "--out", str(tmp_path / "y")]) == 0
 
 
+# ---------------------------------------------------------- exit-code contract
+
+# every IsospecError class in one family; a new class must be listed here
+INPUT_ERRORS = {
+    "InputError", "ConfigError", "ExpressionError", "MeshParseError",
+    "MeshTopologyError", "GridTooSmallError", "DegenerateTriangleError",
+    "ModeCountError", "InsufficientModesError",
+}
+NUMERICAL_ERRORS = {
+    "IsospecError", "SurfaceMismatchError", "PositivityError",
+    "NumericalBreakdownError", "SmallGapError", "RankDeficientBasisError",
+}
+
+
+def test_error_family_decides_exit_code(tmp_path, capsys, monkeypatch):
+    classes = {
+        name: cls for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.IsospecError)
+    }
+    assert set(classes) == INPUT_ERRORS | NUMERICAL_ERRORS
+    assert not INPUT_ERRORS & NUMERICAL_ERRORS
+    config = write_config(tmp_path, torus_config())
+    for name, cls in sorted(classes.items()):
+        error = cls("boom", node_index=0) if cls is errors.PositivityError else cls("boom")
+
+        def runner(config, error=error):
+            raise error
+
+        monkeypatch.setitem(cli._RUNNERS, "spectrum", runner)
+        code = cli.main(["spectrum", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == (2 if name in INPUT_ERRORS else 3), name
+        assert only_error(capsys) == {"error": name, "message": "boom"}
+
+
 # -------------------------------------------------------------- config errors
 
 
@@ -377,6 +413,26 @@ def test_weyl_with_too_few_modes_is_config_error(tmp_path, capsys, nx, flags):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_undecodable_mesh_is_config_error(tmp_path, capsys):
+    path = tmp_path / "octahedron.off"
+    path.write_bytes(OCTAHEDRON_OFF.encode() + b"# \xff\n")
+    config = write_config(tmp_path, {"surface": {"kind": "mesh", "path": str(path)}})
+    assert cli.main(["spectrum", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    record = only_error(capsys)
+    assert record["error"] == "MeshParseError"
+    assert str(path) in record["message"]
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "below-file"])
+def test_uncreatable_out_dir_is_config_error(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("not a directory")
+    config = write_config(tmp_path, torus_config(n_modes=4))
+    assert cli.main(["spectrum", "--config", config, "--out", str(tmp_path / out)]) == 2
+    record = only_error(capsys)
+    assert record["error"] == "ConfigError"
+    assert "cannot create output directory" in record["message"]
+
+
 # ------------------------------------------------------------ numerical errors
 
 
@@ -423,6 +479,20 @@ def test_dense_budget_is_numerical_error(tmp_path, capsys, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_out_of_memory_is_numerical_error(tmp_path, capsys, monkeypatch):
+    def exhausted(surface):
+        raise MemoryError("cannot allocate the stiffness matrix")
+
+    monkeypatch.setattr(cli, "assemble_base", exhausted)
+    config = write_config(tmp_path, torus_config(n_modes=4))
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", config, "--out", str(out)]) == 3
+    assert only_error(capsys) == {
+        "error": "MemoryError", "message": "cannot allocate the stiffness matrix"
+    }
+    assert list(out.iterdir()) == []
+
+
 def run_module(args, **kwargs):
     """Run python with args, the package on the path; return the CompletedProcess."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -452,6 +522,24 @@ def test_overflow_writes_only_the_error_record(tmp_path, command, extra):
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
     assert json.loads(lines[0])["error"] == "NumericalBreakdownError"
+
+
+def test_overflowing_mesh_writes_only_the_error_record(tmp_path):
+    # an octahedron scaled by 1e160: its areas overflow, K and the mass are not
+    # finite, and assembly refuses them without a numpy warning
+    lines = OCTAHEDRON_OFF.splitlines()
+    scaled = [" ".join(repr(1e160 * float(x)) for x in line.split()) for line in lines[2:8]]
+    path = tmp_path / "huge.off"
+    path.write_text("\n".join(lines[:2] + scaled + lines[8:]) + "\n")
+    config = write_config(tmp_path, {"surface": {"kind": "mesh", "path": str(path)}})
+    done = run_module(["-m", "isospec.cli", "spectrum", "--config", config,
+                       "--out", str(tmp_path / "out")])
+    assert done.returncode == 3
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    record = json.loads(lines[0])
+    assert record["error"] == "NumericalBreakdownError"
+    assert "non-finite" in record["message"]
 
 
 def test_import_leaves_sparse_linalg_unloaded():
