@@ -58,6 +58,8 @@ class OperatorPair:
         """Apply Delta0 = M0^-1 K to a vector or a matrix of columns."""
         return ((self.stiffness @ v).T / self.mass).T
 
+    # sums of finite areas may overflow to inf, which the mass check refuses
+    @np.errstate(over="ignore", invalid="ignore")
     def validate(self):
         """Check finiteness, symmetry, kernel, and mass positivity invariants.
 
@@ -124,7 +126,20 @@ def analytic_area(surface):
     v = surface.vertices
     f = surface.faces
     cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-    return float(0.5 * np.linalg.norm(cross, axis=1).sum())
+    return float(0.5 * _cross_norms(cross).sum())
+
+
+def _cross_norms(cross):
+    """Euclidean norms of the rows of cross, each row scaled by a power of two first.
+
+    np.linalg.norm squares the components, which overflow beyond about
+    1e154 and underflow below about 1e-154 although the norm is finite
+    and nonzero.  Scaling by a power of two is exact, so wherever the
+    squares neither overflow nor underflow the norms equal np.linalg.norm
+    bit for bit.
+    """
+    _, exponents = np.frexp(np.abs(cross).max(axis=1))
+    return np.ldexp(np.linalg.norm(np.ldexp(cross, -exponents[:, None]), axis=1), exponents)
 
 
 def assemble_base(surface):
@@ -179,14 +194,16 @@ def _assemble_mesh(surface):
     e0 = v[f[:, 2]] - v[f[:, 1]]
     e1 = v[f[:, 0]] - v[f[:, 2]]
     e2 = v[f[:, 1]] - v[f[:, 0]]
-    double_area = np.linalg.norm(np.cross(e1, e2), axis=1)
+    double_area = _cross_norms(np.cross(e1, e2))
     areas = 0.5 * double_area
-    mean_area = areas.mean()
-    bad = np.flatnonzero(areas < 1e-14 * mean_area)
-    if bad.size:
+    # against the largest area, which stays finite where a mean overflows:
+    # a mesh without area is degenerate, an infinite area fails validate()
+    largest = areas.max()
+    bad = np.flatnonzero(areas <= 1e-14 * largest) if largest < np.inf else []
+    if len(bad):
         raise DegenerateTriangleError(
             f"triangle {int(bad[0])} has area {areas[bad[0]]:.3e} "
-            f"< 1e-14 x mean area {mean_area:.3e}"
+            f"<= 1e-14 x largest area {largest:.3e}"
         )
     # cot(angle at corner i) = <e_j, e_k> / |e_j x e_k|, against opposite edge
     cot0 = np.einsum("ij,ij->i", -e1, e2) / double_area

@@ -23,6 +23,12 @@ Two paths, chosen from the problem size and the mode count alone:
   against the eigenvectors already accepted.  A few modes take one slice;
   its certified run closes the degeneracy group at the cut, and that
   closed window is what solve_window returns.  No n x n array is formed.
+  At its peak, inside a later slice's Lanczos run, a solve holds the
+  eigenvectors accepted so far, one factorization, and ARPACK's basis
+  with the Ritz vectors it returns: 13.3 MB of arrays for the 4.1 MB
+  window of 200 modes on 2562 nodes.  The slices are joined once, into
+  the modes returned; the sign fix works in place and the checks
+  DENSE_BLOCK columns at a time, so they stay below that peak.
 
 Whatever slicing cannot certify falls back to dense.  Both paths are
 deterministic: identical inputs give bit-identical outputs.
@@ -72,9 +78,14 @@ ARPACK_MAX_RESTARTS = 100
 # budget it is refused with a numerical error rather than left to fail
 # allocating, or to the out-of-memory killer.
 DENSE_BUDGET_BYTES = 4 * 2**30
-# columns per block when the dense path symmetrizes S and when a solve
-# checks its invariants
-DENSE_BLOCK = 256
+# Columns per block when the dense path symmetrizes S, and when a solve
+# checks its invariants, which then holds four n x 64 temporaries beside
+# the eigenvectors.  At 256 the check of a 200-mode sliced solve on 2562
+# nodes held four n x 200 ones, the solve's peak.  Symmetrizing, and
+# checking windows of up to 200 modes, take as long at 64; checking a
+# full 2304-node solve takes 0.5-0.8 s against 0.5-0.65 s (2 cores, 2
+# OpenBLAS threads).
+DENSE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -163,13 +174,17 @@ def complete_group_count(groups, n_modes):
 
 
 def _fix_signs(vectors):
-    """Largest-magnitude entry of each column positive; first index on ties."""
+    """Make the largest-magnitude entry of each column positive, in place; first index on ties.
+
+    Returns the sign, 1.0 or -1.0, that each column was multiplied by.
+    """
     # argmax along contiguous rows of the transposed magnitudes: along
     # axis 0 numpy would copy the magnitudes once more
     idx = np.argmax(np.abs(vectors.T, order="C"), axis=1)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0.0] = 1.0
-    return vectors * signs
+    vectors *= signs
+    return signs
 
 
 def solve(pair, n_modes, tol_deg=DEFAULT_TOL_DEG):
@@ -211,7 +226,7 @@ def _solve(pair, n_modes, tol_deg, window):
     slices = 0
     if n >= SPARSE_MIN_NODES and n_modes + 1 <= SPARSE_MAX_SLICED_FRACTION * n:
         try:
-            solved, vectors, slices = _solve_sliced(pair, n_modes, tol_deg, counts)
+            solved, vectors, slices = _solve_sliced(pair, n_modes, tol_deg, window, counts)
             path = "sliced"
         except _SparseFallback as exc:
             path = f"dense, sliced fallback: {exc}"
@@ -229,10 +244,10 @@ def _solve(pair, n_modes, tol_deg, window):
             k = min(2 * k, n)
     keep = stop if window else n_modes
     values = solved[:keep]
-    # two statements, so that a full solve frees LAPACK's Fortran-order
-    # vectors before the sign fix copies the C-order ones
+    # a dense solve's Fortran-order vectors are copied once, to C order;
+    # slicing has joined its window in C order already
     vectors = np.ascontiguousarray(vectors[:, :keep])
-    vectors = _fix_signs(vectors)
+    _fix_signs(vectors)
 
     _check_invariants(pair, values, vectors)
     groups = degeneracy_partition(values, tol_deg)
@@ -263,6 +278,9 @@ def _solve(pair, n_modes, tol_deg, window):
     )
 
 
+# entries that overflow in the scaling fail the finiteness check, without
+# a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_dense(pair, n_modes):
     """Lowest n_modes eigenpairs by LAPACK, in one n x n working array.
 
@@ -314,7 +332,7 @@ class _SparseFallback(Exception):
     """Slicing cannot deliver a certified answer; use dense."""
 
 
-def _solve_sliced(pair, n_modes, tol_deg, counts):
+def _solve_sliced(pair, n_modes, tol_deg, window, counts):
     """The closed window of n_modes, one certified Lanczos run per slice.
 
     Spectrum slicing (Ericsson & Ruhe 1980; Grimes, Lewis & Simon 1994).
@@ -326,9 +344,10 @@ def _solve_sliced(pair, n_modes, tol_deg, counts):
     shift.  Every slice ends at a new boundary in a gap between degeneracy
     groups, certified by inertia (see _slice).  The slices stop once the
     group of mode n_modes - 1 has closed below the last boundary.  Returns
-    (values, vectors, slices): the `stop` lowest pairs, through the end of
-    that group, and the number of slices; raises _SparseFallback when a
-    slice cannot be certified.
+    (values, vectors, slices): the `stop` lowest values, through the end of
+    that group, their vectors (window=True) or the first n_modes of them,
+    and the number of slices; raises _SparseFallback when a slice cannot
+    be certified.
     """
     operators = _sparse_operators(pair)
     lower = sigma = _ground_shift(operators[0], pair.mass)
@@ -352,11 +371,19 @@ def _solve_sliced(pair, n_modes, tol_deg, counts):
         all_values = np.concatenate(accepted_values + [[above]])
         stop = complete_group_count(degeneracy_partition(all_values, tol_deg), n_modes)
         if stop <= count:
-            # trimmed before joining, so that the joined block is the window
-            last = accepted_vectors[-1]
-            accepted_vectors[-1] = last[:, : last.shape[1] - (count - stop)]
-            vectors = np.concatenate(accepted_vectors, axis=1)
+            vectors = _join(accepted_vectors, stop if window else n_modes)
             return all_values[:stop], vectors, len(accepted_values)
+
+
+def _join(blocks, width):
+    """The first `width` columns of the blocks side by side, in one C-order array."""
+    joined = np.empty((blocks[0].shape[0], width))
+    j = 0
+    for block in blocks:
+        take = min(block.shape[1], width - j)
+        joined[:, j : j + take] = block[:, :take]
+        j += take
+    return joined
 
 
 def _slice(pair, operators, sigma, lower, count, want, accepted, tol_deg, counts):
@@ -426,12 +453,13 @@ def _deflate(basis, accepted, mass):
     Classical Gram-Schmidt, twice.  Lanczos vectors of accepted
     eigenvalues keep only a tiny norm; directions whose Gram eigenvalue
     is below one half are dropped.  einsum, not BLAS, as in _rayleigh_ritz.
+    Overwrites `basis`.
     """
     for _ in range(2):
         weighted = mass[:, None] * basis
         for block in accepted:
             overlap = np.einsum("ia,ib->ab", block, weighted)
-            basis = basis - np.einsum("ia,ab->ib", block, overlap)
+            basis -= np.einsum("ia,ab->ib", block, overlap)
     gram = np.einsum("ia,ib->ab", basis, mass[:, None] * basis)
     scale, rotation = scipy.linalg.eigh(0.5 * (gram + gram.T))
     kept = scale > 0.5

@@ -188,10 +188,7 @@ def adapt_degenerate_basis(spectral, ops):
             psi[:, cols] = psi[:, cols] @ r2
             r[:, run] = r[:, run] @ r2
         # deterministic signs, folded into the recorded rotation
-        fixed = _fix_signs(psi[:, g])
-        r = r * np.where(np.einsum("ij,ij->j", fixed, psi[:, g]) >= 0.0, 1.0, -1.0)
-        psi[:, g] = fixed
-        rotations[gid] = r
+        rotations[gid] = r * _fix_signs(psi[:, g])
 
     _check_adapted(psi, lam, ops, groups, rotations)
     psi.flags.writeable = False

@@ -8,8 +8,10 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import io
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -202,6 +204,7 @@ def load_mesh(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshParseError(f"{path}: cannot read mesh file: {exc}") from exc
     vertices, faces = _parse_off(text, str(path))
+    del text  # not held through the topology check
     return mesh_from_arrays(vertices, faces)
 
 
@@ -316,6 +319,64 @@ def fourier_fields(surface, count):
 
 
 def _parse_off(text, name):
+    """Vertex and face arrays of OFF text, one numpy text parse per block.
+
+    Only text that the blocks cannot take (a malformed line, characters
+    that split lines differently for numpy and for Python) goes through
+    the line-by-line parse, which names the first bad line.
+    """
+    try:
+        return _parse_off_blocks(text)
+    except ValueError:
+        return _parse_off_lines(text, name)
+
+
+# comments, and lines left blank (or blank at the end) once they are gone
+_OFF_COMMENT = re.compile(rb"#[^\r\n]*")
+_OFF_BLANK_LINE = re.compile(rb"\n[ \t]*\r?(?=\n)|\n[ \t]+\Z")
+# str.splitlines breaks lines at these too; numpy reads them as spaces
+_OFF_LINE_PATH_ONLY = "\v\f\x1c\x1d\x1e"
+
+
+def _parse_off_blocks(text):
+    """The arrays of a well-formed OFF text by np.loadtxt; ValueError otherwise.
+
+    With comments and blank lines dropped, every line is a row, so the
+    vertex block starts after two lines and the face block nv rows later.
+    Only ASCII text whose carriage returns all end lines is taken.
+    """
+    if (
+        not text.isascii()
+        or any(c in text for c in _OFF_LINE_PATH_ONLY)
+        or ("\r" in text and text.count("\r") != text.count("\r\n"))
+    ):
+        raise ValueError("not plain OFF text")
+    data = text.encode("ascii")
+    if b"#" in data:
+        data = _OFF_COMMENT.sub(b"", data)
+    data = _OFF_BLANK_LINE.sub(b"", data).lstrip()
+    first = data.find(b"\n")
+    second = data.find(b"\n", first + 1)
+    if first < 0 or second < 0 or data[:first].strip() != b"OFF":
+        raise ValueError("no OFF header and count line")
+    nv, nf = (int(count) for count in data[first + 1 : second].split()[:2])
+    rows = data.count(b"\n") + (not data.endswith(b"\n"))
+    if nv <= 0 or nf <= 0 or rows < 2 + nv + nf:
+        raise ValueError("counts out of range or file short")
+    vertices = np.loadtxt(
+        io.BytesIO(data), comments=None, usecols=(0, 1, 2), skiprows=2, max_rows=nv, ndmin=2
+    )
+    faces = np.loadtxt(
+        io.BytesIO(data), dtype=np.int64, comments=None, usecols=(0, 1, 2, 3),
+        skiprows=2 + nv, max_rows=nf, ndmin=2,
+    )
+    if np.any(faces[:, 0] != 3) or not np.all(np.isfinite(vertices)):
+        raise ValueError("a face that is not a triangle or a non-finite coordinate")
+    return vertices, np.ascontiguousarray(faces[:, 1:])
+
+
+def _parse_off_lines(text, name):
+    """The arrays of OFF text, line by line, naming the first malformed line."""
     lines = []
     for raw in text.splitlines():
         stripped = raw.split("#", 1)[0].strip()
@@ -336,29 +397,11 @@ def _parse_off(text, name):
         raise MeshParseError(
             f"{name}: expected {nv} vertex and {nf} face lines, file is short"
         )
-    vertex_lines = [line.split() for line in lines[2 : 2 + nv]]
-    face_lines = [line.split() for line in lines[2 + nv : 2 + nv + nf]]
-    vertices = _convert_block(vertex_lines, 3, float)
-    if vertices is None:
-        vertices = _parse_vertices(vertex_lines, name)
-    faces = _convert_block(face_lines, 4, np.int64)
-    if faces is None or np.any(faces[:, 0] != 3):
-        faces = _parse_faces(face_lines, name)
-    else:
-        faces = np.ascontiguousarray(faces[:, 1:])
+    vertices = _parse_vertices([line.split() for line in lines[2 : 2 + nv]], name)
+    faces = _parse_faces([line.split() for line in lines[2 + nv : 2 + nv + nf]], name)
     if not np.all(np.isfinite(vertices)):
         raise MeshParseError(f"{name}: non-finite vertex coordinates")
     return vertices, faces
-
-
-def _convert_block(rows, width, dtype):
-    """The rows as one array when each has exactly `width` fields that convert; else None."""
-    if any(len(row) != width for row in rows):
-        return None
-    try:
-        return np.array(rows, dtype=dtype)
-    except (ValueError, OverflowError):
-        return None
 
 
 def _parse_vertices(rows, name):

@@ -25,6 +25,7 @@ from isospec.surface import (
     make_torus,
     mesh_from_arrays,
 )
+from conftest import OCTAHEDRON_OFF
 from reference import generic_operators
 
 
@@ -235,3 +236,29 @@ def test_perturbation_adjoint_identity(pair16, rng):
     lhs = w @ (pair16.mass * ops.apply_h1(v))
     rhs = v @ (pair16.mass * ops.apply_h1_adjoint(w))
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+
+def _octahedron(scale):
+    lines = OCTAHEDRON_OFF.splitlines()
+    vertices = np.array([[float(x) for x in line.split()] for line in lines[2:8]])
+    faces = np.array([[int(i) for i in line.split()[1:]] for line in lines[8:16]])
+    return mesh_from_arrays(scale * vertices, faces)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100, 1e150, 1e-150])
+def test_scaled_octahedron_spectrum_and_area(scale):
+    # areas near 1e300 or 1e-300 are finite although their squares are not
+    unit = eigen.solve(assemble_base(_octahedron(1.0)), 6).eigenvalues
+    scaled = eigen.solve(assemble_base(_octahedron(scale)), 6).eigenvalues
+    assert np.abs(scaled * scale**2 - unit).max() <= 1e-12 * unit.max()
+    area = analytic_area(_octahedron(scale))
+    assert area / scale**2 == pytest.approx(4.0 * np.sqrt(3.0), rel=1e-12)
+
+
+def test_flattened_octahedron_is_degenerate():
+    # every vertex on the x axis: all areas are zero, and so is the largest
+    flat = np.zeros((6, 3))
+    flat[:, 0] = np.arange(6.0)
+    surface = mesh_from_arrays(flat, _octahedron(1.0).faces)
+    with pytest.raises(DegenerateTriangleError, match="largest area 0.000e"):
+        assemble_base(surface)

@@ -542,6 +542,38 @@ def test_overflowing_mesh_writes_only_the_error_record(tmp_path):
     assert "non-finite" in record["message"]
 
 
+def test_underflowing_mesh_writes_only_the_error_record(tmp_path):
+    # an octahedron scaled by 1e-154: its areas are finite, but scaling K
+    # by the inverse mass overflows, and the dense solve refuses it
+    lines = OCTAHEDRON_OFF.splitlines()
+    scaled = [" ".join(repr(1e-154 * float(x)) for x in line.split()) for line in lines[2:8]]
+    path = tmp_path / "tiny.off"
+    path.write_text("\n".join(lines[:2] + scaled + lines[8:]) + "\n")
+    config = write_config(tmp_path, {"surface": {"kind": "mesh", "path": str(path)}})
+    done = run_module(["-m", "isospec.cli", "spectrum", "--config", config,
+                       "--out", str(tmp_path / "out")])
+    assert done.returncode == 3
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert "non-finite" in json.loads(lines[0])["message"]
+
+
+def test_flattened_mesh_is_an_input_error(tmp_path):
+    # all areas zero: the degenerate-triangle check refuses it before the
+    # cotangents divide 0 by 0
+    lines = OCTAHEDRON_OFF.splitlines()
+    flat = [f"{i}.0 0.0 0.0" for i in range(6)]
+    path = tmp_path / "flat.off"
+    path.write_text("\n".join(lines[:2] + flat + lines[8:]) + "\n")
+    config = write_config(tmp_path, {"surface": {"kind": "mesh", "path": str(path)}})
+    done = run_module(["-m", "isospec.cli", "spectrum", "--config", config,
+                       "--out", str(tmp_path / "out")])
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert json.loads(lines[0])["error"] == "DegenerateTriangleError"
+
+
 def test_import_leaves_sparse_linalg_unloaded():
     # the benchmark's setup_s times `import isospec.cli`; the sparse solvers
     # load on first use

@@ -591,6 +591,20 @@ def test_dense_solve_holds_one_matrix():
     assert traced_peak(symmetrized_copy_solve, pair, k) > bound
 
 
+def test_sliced_solve_holds_little_besides_its_window():
+    # 200 modes of ico4, its vertices relabelled by a seeded permutation as
+    # the benchmark does: the join, the sign fix and the checks held up to
+    # four more copies of the window (4.10 x); now the peak is ARPACK's
+    # basis in a later slice, beside the accepted vectors and one factor
+    vertices, faces = icosphere_arrays(4)
+    order = np.random.default_rng(1).permutation(vertices.shape[0])
+    relabel = np.empty_like(order)
+    relabel[order] = np.arange(order.shape[0])
+    pair = assemble_base(mesh_from_arrays(vertices[order], relabel[faces]))
+    window = 8 * pair.node_count * 200
+    assert traced_peak(eigen.solve, pair, 200) <= 3.5 * window
+
+
 def test_dense_solve_refuses_non_finite_entries():
     pair = off_symmetric_pair(make_torus(5, 7, 1.3, 0.7), 0)
     stiffness = pair.stiffness.tolil()

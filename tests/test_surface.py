@@ -1,5 +1,9 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isospec.errors import (
     ExpressionError,
@@ -20,6 +24,7 @@ from isospec.surface import (
     make_torus,
     mesh_from_arrays,
 )
+from isospec.surface import _parse_off, _parse_off_blocks, _parse_off_lines
 
 from conftest import write_off
 
@@ -158,6 +163,20 @@ def test_off_rows_of_uneven_width_parse_line_by_line(tmp_path):
     assert np.array_equal(surface.faces, faces)
 
 
+def test_load_mesh_holds_a_few_times_the_file(tmp_path):
+    # ico5 (10,242 vertices): one str and one list of str per line held
+    # 16.3 x the file; the array parse holds 2.4 x, and the topology
+    # check's edge arrays now set the peak, 6.8 x
+    path = write_off(tmp_path / "ico5.off", *icosphere_arrays(5))
+    tracemalloc.start()
+    try:
+        load_mesh(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * path.stat().st_size
+
+
 def test_constant_expression_field(torus16):
     field = field_from_expression(torus16, "1")
     assert np.array_equal(field.values, np.ones(torus16.node_count))
@@ -224,3 +243,101 @@ def test_fourier_fields_basis(torus16):
     # distinct frequencies stay linearly independent as grid functions
     stack = np.stack([f.values for f in fields])
     assert np.linalg.matrix_rank(stack) == 9
+
+
+# -------------------------------------------------- OFF parse: blocks and lines
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_FLOAT_FORMATS = (repr, "{:.6e}".format, "{:.17g}".format, "{:+.17g}".format)
+
+
+@st.composite
+def off_texts(draw):
+    """A well-formed OFF text: comments, blank lines, extra fields, CRLF, trailing lines."""
+    nv = draw(st.integers(1, 6))
+    nf = draw(st.integers(1, 6))
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+
+    def row(tokens):
+        text = draw(gap).join(tokens)
+        if draw(st.booleans()):
+            text = draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " "]))
+        if draw(st.integers(0, 4)) == 0:
+            text += " # " + draw(st.sampled_from(["note", "1 2 3", "#", ""]))
+        return text
+
+    lines = ["OFF" + draw(st.sampled_from(["", " ", " # header"]))]
+    lines.append(row([str(nv), str(nf)] + draw(st.sampled_from([[], ["0"], ["12"]]))))
+    for _ in range(nv):
+        coords = [draw(st.sampled_from(_FLOAT_FORMATS))(draw(_FLOATS)) for _ in range(3)]
+        extra = draw(st.sampled_from([[], ["0.5"], ["1", "0", "0", "1"], ["rgb"]]))
+        lines.append(row(coords + extra))
+    for _ in range(nf):
+        corners = [str(draw(st.integers(0, 2**63 - 1))) for _ in range(3)]
+        colour = draw(st.sampled_from([[], ["255", "0", "0"], ["0.2", "0.3", "0.4", "1.0"]]))
+        lines.append(row(["3"] + corners + colour))
+    lines += draw(st.lists(st.sampled_from(["junk", "1 2", "3 0 1"]), max_size=2))
+    # comment-only and blank lines anywhere, the first line included
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "   ", "\t", "# comment", "  # x"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end, end + "  "]))
+
+
+def _same_arrays(a, b):
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=off_texts())
+def test_off_blocks_equal_lines_bit_for_bit(text):
+    # numpy warns of blank lines within max_rows; none may reach it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks = _parse_off_blocks(text)
+    assert _same_arrays(blocks, _parse_off_lines(text, "mesh.off"))
+    assert all(array.flags.c_contiguous for array in blocks)
+
+
+def _break_off(text, how, draw):
+    lines = text.replace("\r\n", "\n").split("\n")
+    rows = [i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()]
+    nv, nf = (int(c) for c in lines[rows[1]].split("#", 1)[0].split()[:2])
+    vertex_rows, face_rows = rows[2 : 2 + nv], rows[2 + nv : 2 + nv + nf]
+    if how == "short":
+        return "\n".join(lines[: draw(st.sampled_from(vertex_rows + face_rows))])
+    if how == "bad token":
+        at = draw(st.sampled_from(vertex_rows + face_rows))
+        # 1.5 and 1e3 are good coordinates but bad indices
+        bad = ["abc", "--1", "0x1", "1,5"] + ([] if at in vertex_rows else ["1.5", "1e3"])
+        token = draw(st.sampled_from(bad))
+    elif how == "non-triangle":
+        at = draw(st.sampled_from(face_rows))
+        token = "4 0 1 2 3"
+    else:
+        at = draw(st.sampled_from(vertex_rows))
+        token = draw(st.sampled_from(["nan", "inf", "-Infinity", "1e999"]))
+    parts = lines[at].split("#", 1)[0].split()
+    if how == "non-triangle":
+        parts = [token]
+    else:
+        parts[draw(st.integers(0 if at in vertex_rows else 1, 2))] = token
+    lines[at] = " ".join(parts)
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    text=off_texts(),
+    how=st.sampled_from(["short", "bad token", "non-triangle", "non-finite"]),
+    data=st.data(),
+)
+def test_malformed_off_gives_the_line_by_line_message(text, how, data):
+    broken = _break_off(text, how, data.draw)
+    with pytest.raises(MeshParseError) as by_lines:
+        _parse_off_lines(broken, "mesh.off")
+    with pytest.raises(MeshParseError) as parsed:
+        _parse_off(broken, "mesh.off")
+    assert str(parsed.value) == str(by_lines.value)
