@@ -371,19 +371,14 @@ def _solve_sliced(pair, n_modes, tol_deg, window, counts):
         all_values = np.concatenate(accepted_values + [[above]])
         stop = complete_group_count(degeneracy_partition(all_values, tol_deg), n_modes)
         if stop <= count:
-            vectors = _join(accepted_vectors, stop if window else n_modes)
+            # mode n_modes - 1 lies in the last slice (an earlier boundary
+            # would have closed its group), so trimming that slice alone
+            # leaves the join the width returned
+            last = accepted_vectors[-1]
+            width = stop if window else n_modes
+            accepted_vectors[-1] = last[:, : last.shape[1] - (count - width)]
+            vectors = np.concatenate(accepted_vectors, axis=1)
             return all_values[:stop], vectors, len(accepted_values)
-
-
-def _join(blocks, width):
-    """The first `width` columns of the blocks side by side, in one C-order array."""
-    joined = np.empty((blocks[0].shape[0], width))
-    j = 0
-    for block in blocks:
-        take = min(block.shape[1], width - j)
-        joined[:, j : j + take] = block[:, :take]
-        j += take
-    return joined
 
 
 def _slice(pair, operators, sigma, lower, count, want, accepted, tol_deg, counts):

@@ -12,6 +12,7 @@ import io
 import logging
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -323,11 +324,16 @@ def _parse_off(text, name):
 
     Only text that the blocks cannot take (a malformed line, characters
     that split lines differently for numpy and for Python) goes through
-    the line-by-line parse, which names the first bad line.
+    the line-by-line parse, which names the first bad line.  A numpy
+    warning counts as a refusal whatever the caller's warning filters:
+    numpy releases that only warn when they read an index such as '1.5'
+    or '1e3' through float would otherwise load a different mesh.
     """
     try:
-        return _parse_off_blocks(text)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _parse_off_blocks(text)
+    except (ValueError, Warning):
         return _parse_off_lines(text, name)
 
 

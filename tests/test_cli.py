@@ -574,6 +574,25 @@ def test_flattened_mesh_is_an_input_error(tmp_path):
     assert json.loads(lines[0])["error"] == "DegenerateTriangleError"
 
 
+@pytest.mark.parametrize("index", ["1.5", "99999999999999999999999"], ids=["float", "beyond-int64"])
+def test_bad_face_index_is_a_parse_error_outside_pytest(tmp_path, index):
+    # in a fresh interpreter no warning filter of the test suite applies:
+    # numpy must not read the index through float, nor wrap it
+    lines = OCTAHEDRON_OFF.splitlines()
+    lines[8] = f"3 0 {index} 4"
+    path = tmp_path / "bad.off"
+    path.write_text("\n".join(lines) + "\n")
+    config = write_config(tmp_path, {"surface": {"kind": "mesh", "path": str(path)}})
+    done = run_module(["-m", "isospec.cli", "spectrum", "--config", config,
+                       "--out", str(tmp_path / "out")])
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    record = json.loads(lines[0])
+    assert record["error"] == "MeshParseError"
+    assert record["message"].endswith("bad face line 0")
+
+
 def test_import_leaves_sparse_linalg_unloaded():
     # the benchmark's setup_s times `import isospec.cli`; the sparse solvers
     # load on first use
