@@ -8,15 +8,14 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import io
 import logging
 import math
-import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.sparse
 
 from . import expressions
 from .errors import (
@@ -196,8 +195,11 @@ def make_torus(nx, ny, lx, ly):
 def load_mesh(path):
     """Load a closed triangle mesh from an ASCII OFF file.
 
-    Validates closedness (every edge shared by exactly two faces),
-    consistent orientation, and connectedness; rejects anything else.
+    Numbers are read by numpy, so tokens that only Python's ``float`` or
+    ``int`` reads (``1_0``, non-ASCII digits) are refused.  Validates
+    closedness (every edge shared by exactly two faces), consistent
+    orientation, connectedness, and one disc of faces around every
+    vertex (no pinched vertex); rejects anything else.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -213,10 +215,7 @@ def mesh_from_arrays(vertices, faces):
     """Build a validated TriangleMesh surface from raw arrays."""
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     faces = np.ascontiguousarray(np.asarray(faces, dtype=np.int64))
-    edge_count = _validate_mesh_topology(vertices, faces)
-    chi = vertices.shape[0] - edge_count + faces.shape[0]
-    if chi % 2 != 0:
-        raise MeshTopologyError(f"Euler characteristic {chi} is odd")
+    chi = _validate_mesh_topology(vertices, faces)
     vertices.flags.writeable = False
     faces.flags.writeable = False
     surf = DiscreteSurface(
@@ -320,128 +319,100 @@ def fourier_fields(surface, count):
 
 
 def _parse_off(text, name):
-    """Vertex and face arrays of OFF text, one numpy text parse per block.
+    """Vertex and face arrays of OFF text, naming the first malformed line.
 
-    Only text that the blocks cannot take (a malformed line, characters
-    that split lines differently for numpy and for Python) goes through
-    the line-by-line parse, which names the first bad line.  A numpy
-    warning counts as a refusal whatever the caller's warning filters:
+    Rows are the lines of ``str.splitlines`` with comments (``#`` to the
+    end of the line) cut and blank rows dropped.  Each block is read by one
+    ``np.loadtxt`` over its rows; only a block it refuses is read again a
+    row at a time, to name the first bad line.
+    """
+    rows = [row for line in text.splitlines() if (row := line.split("#", 1)[0].strip())]
+    if not rows:
+        raise MeshParseError(f"{name}: empty file")
+    if rows[0] != "OFF":
+        raise MeshParseError(f"{name}: missing OFF header, got {rows[0]!r}")
+    if len(rows) < 2:
+        raise MeshParseError(f"{name}: no count line after the OFF header")
+    try:
+        counts = rows[1].split()
+        nv, nf = int(counts[0]), int(counts[1])
+    except (IndexError, ValueError) as exc:
+        raise MeshParseError(f"{name}: bad count line {rows[1]!r}") from exc
+    if nv <= 0 or nf <= 0:
+        raise MeshParseError(f"{name}: nonpositive vertex or face count")
+    if len(rows) < 2 + nv + nf:
+        raise MeshParseError(
+            f"{name}: expected {nv} vertex and {nf} face lines, file is short"
+        )
+    vertex_rows, face_rows = rows[2 : 2 + nv], rows[2 + nv : 2 + nv + nf]
+    del rows  # the list's pointers, freed before numpy reads the blocks
+    vertices = _read_rows(vertex_rows, float, 3)
+    if vertices is None:
+        _raise_first_fault(vertex_rows, _vertex_fault, name)
+    faces = _read_rows(face_rows, np.int64, 4)
+    if faces is None or np.any(faces[:, 0] != 3):
+        _raise_first_fault(face_rows, _face_fault, name)
+    if not np.all(np.isfinite(vertices)):
+        raise MeshParseError(f"{name}: non-finite vertex coordinates")
+    return vertices, np.ascontiguousarray(faces[:, 1:])
+
+
+def _read_rows(rows, dtype, columns):
+    """The first ``columns`` fields of every row by np.loadtxt, or None if refused.
+
+    A numpy warning is a refusal whatever the caller's warning filters:
     numpy releases that only warn when they read an index such as '1.5'
-    or '1e3' through float would otherwise load a different mesh.
+    through float would otherwise load a different mesh.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return _parse_off_blocks(text)
+            return np.loadtxt(
+                rows, dtype=dtype, comments=None, usecols=range(columns), ndmin=2
+            )
     except (ValueError, Warning):
-        return _parse_off_lines(text, name)
+        return None
 
 
-# comments, and lines left blank (or blank at the end) once they are gone
-_OFF_COMMENT = re.compile(rb"#[^\r\n]*")
-_OFF_BLANK_LINE = re.compile(rb"\n[ \t]*\r?(?=\n)|\n[ \t]+\Z")
-# str.splitlines breaks lines at these too; numpy reads them as spaces
-_OFF_LINE_PATH_ONLY = "\v\f\x1c\x1d\x1e"
+def _raise_first_fault(rows, fault, name):
+    """Raise the message of the first row at fault in a refused block.
 
-
-def _parse_off_blocks(text):
-    """The arrays of a well-formed OFF text by np.loadtxt; ValueError otherwise.
-
-    With comments and blank lines dropped, every line is a row, so the
-    vertex block starts after two lines and the face block nv rows later.
-    Only ASCII text whose carriage returns all end lines is taken.
+    Every block passed here has one: numpy refuses a block only when it
+    refuses one of its rows read alone, and a face of another arity is at
+    fault too.
     """
-    if (
-        not text.isascii()
-        or any(c in text for c in _OFF_LINE_PATH_ONLY)
-        or ("\r" in text and text.count("\r") != text.count("\r\n"))
-    ):
-        raise ValueError("not plain OFF text")
-    data = text.encode("ascii")
-    if b"#" in data:
-        data = _OFF_COMMENT.sub(b"", data)
-    data = _OFF_BLANK_LINE.sub(b"", data).lstrip()
-    first = data.find(b"\n")
-    second = data.find(b"\n", first + 1)
-    if first < 0 or second < 0 or data[:first].strip() != b"OFF":
-        raise ValueError("no OFF header and count line")
-    nv, nf = (int(count) for count in data[first + 1 : second].split()[:2])
-    rows = data.count(b"\n") + (not data.endswith(b"\n"))
-    if nv <= 0 or nf <= 0 or rows < 2 + nv + nf:
-        raise ValueError("counts out of range or file short")
-    vertices = np.loadtxt(
-        io.BytesIO(data), comments=None, usecols=(0, 1, 2), skiprows=2, max_rows=nv, ndmin=2
-    )
-    faces = np.loadtxt(
-        io.BytesIO(data), dtype=np.int64, comments=None, usecols=(0, 1, 2, 3),
-        skiprows=2 + nv, max_rows=nf, ndmin=2,
-    )
-    if np.any(faces[:, 0] != 3) or not np.all(np.isfinite(vertices)):
-        raise ValueError("a face that is not a triangle or a non-finite coordinate")
-    return vertices, np.ascontiguousarray(faces[:, 1:])
+    for i, row in enumerate(rows):
+        message = fault(i, row)
+        if message:
+            raise MeshParseError(f"{name}: {message}")
 
 
-def _parse_off_lines(text, name):
-    """The arrays of OFF text, line by line, naming the first malformed line."""
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
-    if not lines:
-        raise MeshParseError(f"{name}: empty file")
-    if lines[0] != "OFF":
-        raise MeshParseError(f"{name}: missing OFF header, got {lines[0]!r}")
+def _vertex_fault(i, row):
+    fields = len(row.split())
+    if fields < 3:
+        return f"vertex line {i} has {fields} fields"
+    if _read_rows([row], float, 3) is None:
+        return f"bad vertex line {i}"
+    return None
+
+
+def _face_fault(i, row):
+    parts = row.split()
     try:
-        counts = lines[1].split()
-        nv, nf = int(counts[0]), int(counts[1])
-    except (IndexError, ValueError) as exc:
-        raise MeshParseError(f"{name}: bad count line {lines[1]!r}") from exc
-    if nv <= 0 or nf <= 0:
-        raise MeshParseError(f"{name}: nonpositive vertex or face count")
-    if len(lines) < 2 + nv + nf:
-        raise MeshParseError(
-            f"{name}: expected {nv} vertex and {nf} face lines, file is short"
-        )
-    vertices = _parse_vertices([line.split() for line in lines[2 : 2 + nv]], name)
-    faces = _parse_faces([line.split() for line in lines[2 + nv : 2 + nv + nf]], name)
-    if not np.all(np.isfinite(vertices)):
-        raise MeshParseError(f"{name}: non-finite vertex coordinates")
-    return vertices, faces
-
-
-def _parse_vertices(rows, name):
-    """Line by line, naming the first malformed vertex line."""
-    vertices = np.empty((len(rows), 3))
-    for i, parts in enumerate(rows):
-        if len(parts) < 3:
-            raise MeshParseError(f"{name}: vertex line {i} has {len(parts)} fields")
-        try:
-            vertices[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
-        except ValueError as exc:
-            raise MeshParseError(f"{name}: bad vertex line {i}") from exc
-    return vertices
-
-
-def _parse_faces(rows, name):
-    """Line by line, naming the first malformed face line."""
-    faces = np.empty((len(rows), 3), dtype=np.int64)
-    for i, parts in enumerate(rows):
-        try:
-            arity = int(parts[0])
-        except (IndexError, ValueError) as exc:
-            raise MeshParseError(f"{name}: bad face line {i}") from exc
-        if arity != 3 or len(parts) < 4:
-            raise MeshParseError(f"{name}: face {i} is not a triangle")
-        try:
-            faces[i] = [int(parts[1]), int(parts[2]), int(parts[3])]
-        except (ValueError, OverflowError) as exc:  # overflow: beyond int64
-            raise MeshParseError(f"{name}: bad face line {i}") from exc
-    return faces
+        arity = int(parts[0])  # Python's int: an arity beyond int64 is not a triangle
+    except ValueError:
+        return f"bad face line {i}"
+    if arity != 3 or len(parts) < 4:
+        return f"face {i} is not a triangle"
+    if _read_rows([row], np.int64, 4) is None:
+        return f"bad face line {i}"
+    return None
 
 
 def _validate_mesh_topology(vertices, faces):
-    """Check closed/oriented/connected manifold structure; returns edge count."""
+    """Check for a closed, oriented, connected 2-manifold; returns its Euler characteristic."""
+    from scipy.sparse.csgraph import connected_components  # lazy: keeps `import isospec.cli` light
+
     nv = vertices.shape[0]
     if faces.ndim != 2 or faces.shape[1] != 3:
         raise MeshTopologyError("faces must be an (F, 3) index array")
@@ -454,50 +425,57 @@ def _validate_mesh_topology(vertices, faces):
     ):
         raise MeshTopologyError("face with a repeated vertex")
 
-    # directed edges (a, b), (b, c), (c, a) of each face, in face order
+    # directed edges (a, b), (b, c), (c, a) of each face, in face order;
+    # edge e is entry e + 1 of the matrix, so a repeated edge sums one away
     tails = faces.ravel()
     heads = faces[:, [1, 2, 0]].ravel()
-    keys = tails * nv + heads
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    repeated = ordered[1:] == ordered[:-1]
-    if repeated.any():
-        # the first edge, in face order, that repeats an earlier one
-        second = int(order[1:][repeated].min())
-        key = (int(tails[second]), int(heads[second]))
+    count = tails.shape[0]
+    edges = scipy.sparse.csr_array(
+        (np.arange(1, count + 1), (tails, heads)), shape=(nv, nv)
+    )
+    if edges.nnz < count:
+        _, first = np.unique(tails * nv + heads, return_index=True)
+        repeats = np.ones(count, dtype=bool)
+        repeats[first] = False
+        e = int(np.flatnonzero(repeats)[0])
+        key = (int(tails[e]), int(heads[e]))
         raise MeshTopologyError(
             f"directed edge {key} appears twice: inconsistent orientation "
             "or non-manifold edge"
         )
-    reverse = heads * nv + tails
-    found = np.minimum(np.searchsorted(ordered, reverse), ordered.shape[0] - 1)
-    unmatched = ordered[found] != reverse
-    if unmatched.any():
-        e = int(np.flatnonzero(unmatched)[0])
+    # one more than the index of each edge's opposite, 0 on the boundary
+    opposite = edges[heads, tails]
+    if not opposite.all():
+        e = int(np.flatnonzero(opposite == 0)[0])
         u, v = sorted((int(tails[e]), int(heads[e])))
         raise MeshTopologyError(f"boundary edge ({u}, {v}): surface is not closed")
-
-    referenced = np.zeros(nv, dtype=bool)
-    referenced[faces.ravel()] = True
-    if not referenced.all():
-        orphan = int(np.flatnonzero(~referenced)[0])
-        raise MeshTopologyError(f"vertex {orphan} belongs to no face")
-
-    # connectedness: hook each edge's larger root onto its smaller one and
-    # shortcut every vertex to its root, until no edge joins two roots
-    root = np.arange(nv)
-    while True:
-        lo = np.minimum(root[tails], root[heads])
-        hi = np.maximum(root[tails], root[heads])
-        if np.array_equal(lo, hi):
-            break
-        np.minimum.at(root, hi, lo)
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-    if np.any(root != 0):
+    orphans = np.flatnonzero(np.diff(edges.indptr) == 0)
+    if orphans.size:
+        raise MeshTopologyError(f"vertex {orphans[0]} belongs to no face")
+    # every edge has its opposite, so the strong components are the connected ones
+    if connected_components(edges, connection="strong", return_labels=False) > 1:
         raise MeshTopologyError("mesh is disconnected")
-    # every undirected edge appears once in each direction
-    return keys.shape[0] // 2
+    del edges
+
+    # a closed oriented 2-manifold has an even chi; an odd one is a pinch
+    # the check below would also find, named by the older message
+    chi = nv - count // 2 + faces.shape[0]
+    if chi % 2 != 0:
+        raise MeshTopologyError(f"Euler characteristic {chi} is odd")
+    # corner 3f + i sits at faces[f, i]; the next corner around its vertex
+    # lies in the face across its outgoing edge 3f + i.  The corners then
+    # form one cycle per vertex, unless a vertex is pinched between fans
+    across = opposite - 1
+    turn = scipy.sparse.csr_array(
+        (np.ones(count), across + np.where(across % 3 == 2, -2, 1), np.arange(count + 1)),
+        shape=(count, count),
+    )
+    cycles, labels = connected_components(turn, connection="strong")
+    if cycles > nv:
+        _, first = np.unique(labels, return_index=True)
+        fans = np.bincount(tails[first], minlength=nv)
+        v = int(np.flatnonzero(fans > 1)[0])
+        raise MeshTopologyError(
+            f"vertex {v} is pinched: its faces form {fans[v]} fans, not one disc"
+        )
+    return chi

@@ -24,7 +24,7 @@ from isospec.surface import (
     make_torus,
     mesh_from_arrays,
 )
-from isospec.surface import _parse_off, _parse_off_blocks, _parse_off_lines
+from isospec.surface import _parse_off
 
 from conftest import write_off
 
@@ -77,13 +77,30 @@ def test_icosphere_mesh_valid(icosphere_path):
     assert surface.genus == 0
 
 
+def _refusal(vertices, faces):
+    with pytest.raises(MeshTopologyError) as refused:
+        mesh_from_arrays(vertices, faces)
+    return str(refused.value)
+
+
+def _glued_octahedra(octahedron, glue):
+    """Copies of the octahedron, each moved by a shift and glued to the first at its vertex 0."""
+    vertices, faces = [octahedron.vertices], [octahedron.faces]
+    for shared, shift in glue:
+        start = sum(len(v) for v in vertices)
+        index = np.array([0 if k == shared else start + k - (k > shared) for k in range(6)])
+        vertices.append(np.delete(octahedron.vertices + shift, shared, axis=0))
+        faces.append(index[octahedron.faces])
+    return np.vstack(vertices), np.vstack(faces)
+
+
 def test_single_triangle_rejected(tmp_path):
     path = write_off(
         tmp_path / "tri.off",
         [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
         [(0, 1, 2)],
     )
-    with pytest.raises(MeshTopologyError):
+    with pytest.raises(MeshTopologyError, match=r"^boundary edge \(0, 1\): surface is not closed$"):
         load_mesh(path)
 
 
@@ -92,6 +109,8 @@ def test_missing_face_rejected(tmp_path):
     path = write_off(tmp_path / "holed.off", vertices, faces[:-1])
     with pytest.raises(MeshTopologyError):
         load_mesh(path)
+    # the first edge, in face order, whose opposite is missing
+    assert _refusal(vertices, faces[:-1]) == "boundary edge (23, 41): surface is not closed"
 
 
 def test_inconsistent_orientation_rejected(tmp_path):
@@ -101,6 +120,10 @@ def test_inconsistent_orientation_rejected(tmp_path):
     path = write_off(tmp_path / "flipped.off", vertices, flipped)
     with pytest.raises(MeshTopologyError):
         load_mesh(path)
+    # the first edge, in face order, that repeats an earlier one
+    assert _refusal(vertices, flipped) == (
+        "directed edge (14, 12) appears twice: inconsistent orientation or non-manifold edge"
+    )
 
 
 def test_disconnected_mesh_rejected(tmp_path):
@@ -111,6 +134,29 @@ def test_disconnected_mesh_rejected(tmp_path):
     path = write_off(tmp_path / "two.off", two, far)
     with pytest.raises(MeshTopologyError):
         load_mesh(path)
+    assert _refusal(two, far) == "mesh is disconnected"
+
+
+def test_orphan_vertex_rejected(octahedron_path):
+    octahedron = load_mesh(octahedron_path)
+    vertices = np.vstack([octahedron.vertices, [[5.0, 5.0, 5.0]]])
+    assert _refusal(vertices, octahedron.faces) == "vertex 6 belongs to no face"
+
+
+def test_odd_euler_characteristic_rejected(octahedron_path):
+    # two octahedra sharing one vertex: V - E + F = 11 - 24 + 16
+    two = _glued_octahedra(load_mesh(octahedron_path), [(1, np.array([2.0, 0.0, 0.0]))])
+    assert _refusal(*two) == "Euler characteristic 3 is odd"
+
+
+def test_pinched_vertex_rejected(octahedron_path):
+    # three octahedra sharing vertex 0: every edge is matched and chi = 4
+    # is even, but the faces around vertex 0 form three fans, not one disc
+    three = _glued_octahedra(
+        load_mesh(octahedron_path),
+        [(1, np.array([2.0, 0.0, 0.0])), (3, np.array([1.0, 1.0, 0.0]))],
+    )
+    assert _refusal(*three) == "vertex 0 is pinched: its faces form 3 fans, not one disc"
 
 
 def test_repeated_vertex_face_rejected():
@@ -135,6 +181,13 @@ def test_quad_face_rejected(tmp_path):
     )
     with pytest.raises(MeshParseError):
         load_mesh(path)
+
+
+def test_face_arity_beyond_int64_is_not_a_triangle(octahedron_path):
+    lines = octahedron_path.read_text().splitlines()
+    lines[10] = "99999999999999999999999"
+    with pytest.raises(MeshParseError, match="face 2 is not a triangle$"):
+        _parse_off("\n".join(lines), "mesh.off")
 
 
 def test_face_index_beyond_int64_is_a_parse_error(tmp_path):
@@ -164,9 +217,8 @@ def test_off_rows_of_uneven_width_parse_line_by_line(tmp_path):
 
 
 def test_load_mesh_holds_a_few_times_the_file(tmp_path):
-    # ico5 (10,242 vertices): one str and one list of str per line held
-    # 16.3 x the file; the array parse holds 2.4 x, and the topology
-    # check's edge arrays now set the peak, 6.8 x
+    # ico5 (10,242 vertices): the rows as str, then the edge and corner
+    # graphs of the topology check, peak at 5.3 x the file
     path = write_off(tmp_path / "ico5.off", *icosphere_arrays(5))
     tracemalloc.start()
     try:
@@ -174,7 +226,14 @@ def test_load_mesh_holds_a_few_times_the_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * path.stat().st_size
+    assert peak <= 6.5 * path.stat().st_size
+
+
+def test_off_header_alone_is_a_parse_error(tmp_path):
+    path = tmp_path / "header.off"
+    path.write_text("OFF\n# nothing else\n")
+    with pytest.raises(MeshParseError, match="no count line after the OFF header"):
+        load_mesh(path)
 
 
 def test_constant_expression_field(torus16):
@@ -245,7 +304,7 @@ def test_fourier_fields_basis(torus16):
     assert np.linalg.matrix_rank(stack) == 9
 
 
-# -------------------------------------------------- OFF parse: blocks and lines
+# ------------------------------------------------------------------- OFF parse
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _FLOAT_FORMATS = (repr, "{:.6e}".format, "{:.17g}".format, "{:+.17g}".format)
@@ -253,7 +312,10 @@ _FLOAT_FORMATS = (repr, "{:.6e}".format, "{:.17g}".format, "{:+.17g}".format)
 
 @st.composite
 def off_texts(draw):
-    """A well-formed OFF text: comments, blank lines, extra fields, CRLF, trailing lines."""
+    """A well-formed OFF text and the arrays it holds.
+
+    Comments, blank lines, extra fields, colours, CRLF, trailing lines.
+    """
     nv = draw(st.integers(1, 6))
     nf = draw(st.integers(1, 6))
     gap = st.sampled_from([" ", "\t", "  ", " \t "])
@@ -268,76 +330,83 @@ def off_texts(draw):
 
     lines = ["OFF" + draw(st.sampled_from(["", " ", " # header"]))]
     lines.append(row([str(nv), str(nf)] + draw(st.sampled_from([[], ["0"], ["12"]]))))
-    for _ in range(nv):
+    vertices = np.empty((nv, 3))
+    for i in range(nv):
         coords = [draw(st.sampled_from(_FLOAT_FORMATS))(draw(_FLOATS)) for _ in range(3)]
+        vertices[i] = [float(c) for c in coords]
         extra = draw(st.sampled_from([[], ["0.5"], ["1", "0", "0", "1"], ["rgb"]]))
         lines.append(row(coords + extra))
-    for _ in range(nf):
-        corners = [str(draw(st.integers(0, 2**63 - 1))) for _ in range(3)]
+    faces = np.array(
+        [[draw(st.integers(0, 2**63 - 1)) for _ in range(3)] for _ in range(nf)], dtype=np.int64
+    )
+    for corners in faces:
         colour = draw(st.sampled_from([[], ["255", "0", "0"], ["0.2", "0.3", "0.4", "1.0"]]))
-        lines.append(row(["3"] + corners + colour))
+        lines.append(row(["3"] + [str(c) for c in corners] + colour))
     lines += draw(st.lists(st.sampled_from(["junk", "1 2", "3 0 1"]), max_size=2))
     # comment-only and blank lines anywhere, the first line included
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(lines)))
         lines.insert(at, draw(st.sampled_from(["", "   ", "\t", "# comment", "  # x"])))
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + draw(st.sampled_from(["", end, end + "  "]))
-
-
-def _same_arrays(a, b):
-    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-               for x, y in zip(a, b))
+    return end.join(lines) + draw(st.sampled_from(["", end, end + "  "])), vertices, faces
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(text=off_texts())
-def test_off_blocks_equal_lines_bit_for_bit(text):
-    # numpy warns of blank lines within max_rows; none may reach it
+@given(drawn=off_texts())
+def test_off_parse_returns_the_drawn_arrays(drawn):
+    text, vertices, faces = drawn
+    # a numpy warning turned into an error here would fail the parse
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        blocks = _parse_off_blocks(text)
-    assert _same_arrays(blocks, _parse_off_lines(text, "mesh.off"))
-    assert all(array.flags.c_contiguous for array in blocks)
+        parsed = _parse_off(text, "mesh.off")
+    for got, want in zip(parsed, (vertices, faces)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit: -0.0 and 0.0 differ
+        assert got.flags.c_contiguous
 
 
 def _break_off(text, how, draw):
+    """The text broken as ``how`` says, and the message that names the break."""
     lines = text.replace("\r\n", "\n").split("\n")
     rows = [i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()]
     nv, nf = (int(c) for c in lines[rows[1]].split("#", 1)[0].split()[:2])
     vertex_rows, face_rows = rows[2 : 2 + nv], rows[2 + nv : 2 + nv + nf]
     if how == "short":
-        return "\n".join(lines[: draw(st.sampled_from(vertex_rows + face_rows))])
+        cut = lines[: draw(st.sampled_from(vertex_rows + face_rows))]
+        return "\n".join(cut), f"expected {nv} vertex and {nf} face lines, file is short"
     if how == "bad token":
         at = draw(st.sampled_from(vertex_rows + face_rows))
-        # 1.5 and 1e3 are good coordinates but bad indices
-        bad = ["abc", "--1", "0x1", "1,5"] + ([] if at in vertex_rows else ["1.5", "1e3"])
-        token = draw(st.sampled_from(bad))
+        # 1.5 and 1e3 are good coordinates but bad indices; numpy refuses
+        # 1_0 and non-ASCII digits, which Python's float and int would read
+        bad = ["abc", "--1", "0x1", "1,5", "1_0", "\uff11", "\u0661"]
+        token = draw(st.sampled_from(bad + ([] if at in vertex_rows else ["1.5", "1e3"])))
+        message = (f"bad vertex line {vertex_rows.index(at)}" if at in vertex_rows
+                   else f"bad face line {face_rows.index(at)}")
     elif how == "non-triangle":
         at = draw(st.sampled_from(face_rows))
         token = "4 0 1 2 3"
+        message = f"face {face_rows.index(at)} is not a triangle"
     else:
         at = draw(st.sampled_from(vertex_rows))
         token = draw(st.sampled_from(["nan", "inf", "-Infinity", "1e999"]))
+        message = "non-finite vertex coordinates"
     parts = lines[at].split("#", 1)[0].split()
     if how == "non-triangle":
         parts = [token]
     else:
         parts[draw(st.integers(0 if at in vertex_rows else 1, 2))] = token
     lines[at] = " ".join(parts)
-    return "\n".join(lines)
+    return "\n".join(lines), message
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    text=off_texts(),
+    drawn=off_texts(),
     how=st.sampled_from(["short", "bad token", "non-triangle", "non-finite"]),
     data=st.data(),
 )
-def test_malformed_off_gives_the_line_by_line_message(text, how, data):
-    broken = _break_off(text, how, data.draw)
-    with pytest.raises(MeshParseError) as by_lines:
-        _parse_off_lines(broken, "mesh.off")
+def test_malformed_off_gives_the_line_by_line_message(drawn, how, data):
+    broken, message = _break_off(drawn[0], how, data.draw)
     # under filters that let warnings through, as outside the test suite:
     # the parse must not depend on a warning being an error, and no
     # warning may reach the caller
@@ -345,5 +414,5 @@ def test_malformed_off_gives_the_line_by_line_message(text, how, data):
         warnings.simplefilter("always")
         with pytest.raises(MeshParseError) as parsed:
             _parse_off(broken, "mesh.off")
-    assert str(parsed.value) == str(by_lines.value)
+    assert str(parsed.value) == f"mesh.off: {message}"
     assert caught == []
