@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -46,22 +47,6 @@ from .surface import (
 logger = logging.getLogger(__name__)
 
 _COMMON_KEYS = {"surface", "n_modes", "tol_deg", "seed"}
-_EXTRA_KEYS = {
-    "spectrum": set(),
-    "corrections": {"side", "f1", "f2"},
-    "obstruction": {"basis_size", "kernel_tol"},
-    "convexity": {"c1", "c2", "tau_grid"},
-    "metric-probe": {"f1", "t_grid"},
-    "weyl": set(),
-}
-_DEFAULT_MODES = {
-    "spectrum": 10,
-    "corrections": 10,
-    "obstruction": 10,
-    "convexity": 8,
-    "metric-probe": 10,
-    "weyl": 100,
-}
 
 
 @dataclass(frozen=True)
@@ -175,12 +160,13 @@ def load_config(command, args):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    _reject_unknown(data, _COMMON_KEYS | _EXTRA_KEYS[command], command)
+    subcommand = _SUBCOMMANDS[command]
+    _reject_unknown(data, _COMMON_KEYS | subcommand.extra_keys, command)
     surface_spec = _validate_surface(
         _expect(data, "surface", dict, command, required=True)
     )
 
-    n_modes = _expect(data, "n_modes", int, command, default=_DEFAULT_MODES[command])
+    n_modes = _expect(data, "n_modes", int, command, default=subcommand.default_modes)
     if args.modes is not None:
         n_modes = args.modes
     if n_modes < 1:
@@ -269,94 +255,93 @@ def _write_manifest(config, artifacts, wall_time):
     _write_json(os.path.join(config.out_dir, "manifest.json"), payload)
 
 
-def run_spectrum(config):
-    pair = assemble_base(config.build_surface())
-    spectral = eigen.solve(pair, min(config.n_modes, pair.node_count), config.tol_deg)
-    spectral.export_csv(os.path.join(config.out_dir, "spectrum.csv"))
-    return ["spectrum.csv"]
+def run_spectrum(config, surface, n_modes):
+    spectral = eigen.solve(assemble_base(surface), n_modes, config.tol_deg)
+    return {"spectrum.csv": spectral}
 
 
-def run_corrections(config):
-    surface = config.build_surface()
+def run_corrections(config, surface, n_modes):
     pair = assemble_base(surface)
     f1 = field_from_expression(surface, config.f1)
     f2 = field_from_expression(surface, config.f2) if config.f2 else None
     pert = ConformalPerturbation(side=config.side, f1=f1, f2=f2)
     ops = conformal_operators(pair, pert)
-    n_modes = min(config.n_modes, pair.node_count)
     report = compute_corrections(eigen.solve_window(pair, n_modes, config.tol_deg), ops)
-    _write_json(
-        os.path.join(config.out_dir, "corrections.json"), report.to_json_dict()
-    )
-    return ["corrections.json"]
+    return {"corrections.json": report.to_json_dict()}
 
 
-def run_obstruction(config):
-    surface = config.build_surface()
+def run_obstruction(config, surface, n_modes):
     if config.basis_size > surface.node_count:
         n = surface.node_count
         raise ConfigError(f"obstruction: basis_size exceeds the {n} surface nodes")
-    pair = assemble_base(surface)
     # the map is basis-independent only over complete degeneracy groups
-    spectral = eigen.solve_window(pair, config.n_modes, config.tol_deg)
-    basis = default_field_basis(surface, config.basis_size, spectral=spectral)
+    spectral = eigen.solve_window(assemble_base(surface), n_modes, config.tol_deg)
+    basis = default_field_basis(surface, config.basis_size, spectral)
     report = obstruction_map(
         spectral, basis, spectral.n_modes, kernel_tol=config.kernel_tol
     )
-    _write_json(
-        os.path.join(config.out_dir, "obstruction.json"), report.to_json_dict()
-    )
-    return ["obstruction.json"]
+    return {"obstruction.json": report.to_json_dict()}
 
 
-def run_convexity(config):
-    surface = config.build_surface()
+def run_convexity(config, surface, n_modes):
     c1 = field_from_expression(surface, config.c1)
     c2 = field_from_expression(surface, config.c2)
     report = convexity_probe(
-        surface, c1, c2, config.n_modes, np.array(config.tau_grid), config.tol_deg
+        surface, c1, c2, n_modes, np.array(config.tau_grid), config.tol_deg
     )
-    _write_json(os.path.join(config.out_dir, "convexity.json"), report.to_json_dict())
-    report.export_csv(os.path.join(config.out_dir, "convexity.csv"))
-    return ["convexity.json", "convexity.csv"]
+    return {"convexity.json": report.to_json_dict(), "convexity.csv": report}
 
 
-def run_metric_probe(config):
-    surface = config.build_surface()
+def run_metric_probe(config, surface, n_modes):
     f1 = field_from_expression(surface, config.f1)
     report = metric_side_probe(
-        surface, f1, config.n_modes, np.array(config.t_grid), config.tol_deg
+        surface, f1, n_modes, np.array(config.t_grid), config.tol_deg
     )
-    _write_json(
-        os.path.join(config.out_dir, "metric_probe.json"), report.to_json_dict()
-    )
-    report.export_csv(os.path.join(config.out_dir, "metric_probe.csv"))
-    return ["metric_probe.json", "metric_probe.csv"]
+    return {"metric_probe.json": report.to_json_dict(), "metric_probe.csv": report}
 
 
-def run_weyl(config):
-    surface = config.build_surface()
-    pair = assemble_base(surface)
-    spectral = eigen.solve(pair, min(config.n_modes, pair.node_count), config.tol_deg)
-    estimate = weyl_volume_estimate(spectral)
-    payload = {
+def run_weyl(config, surface, n_modes):
+    spectral = eigen.solve(assemble_base(surface), n_modes, config.tol_deg)
+    return {"weyl.json": {
         "schema_version": 1,
         "n_modes": spectral.n_modes,
-        "estimated_area": estimate,
+        "estimated_area": weyl_volume_estimate(spectral),
         "analytic_area": analytic_area(surface),
-    }
-    _write_json(os.path.join(config.out_dir, "weyl.json"), payload)
-    return ["weyl.json"]
+    }}
 
 
-_RUNNERS = {
-    "spectrum": run_spectrum,
-    "corrections": run_corrections,
-    "obstruction": run_obstruction,
-    "convexity": run_convexity,
-    "metric-probe": run_metric_probe,
-    "weyl": run_weyl,
+class Subcommand(NamedTuple):
+    """A runner (config, surface, n_modes) -> {file name: artifact}, where a
+    .json artifact is its payload and a .csv one has ``export_csv``."""
+
+    run: Callable
+    extra_keys: frozenset
+    default_modes: int
+
+
+_SUBCOMMANDS = {
+    "spectrum": Subcommand(run_spectrum, frozenset(), 10),
+    "corrections": Subcommand(run_corrections, frozenset({"side", "f1", "f2"}), 10),
+    "obstruction": Subcommand(run_obstruction, frozenset({"basis_size", "kernel_tol"}), 10),
+    "convexity": Subcommand(run_convexity, frozenset({"c1", "c2", "tau_grid"}), 8),
+    "metric-probe": Subcommand(run_metric_probe, frozenset({"f1", "t_grid"}), 10),
+    "weyl": Subcommand(run_weyl, frozenset(), 100),
 }
+
+
+def run_command(config):
+    """Run the config's subcommand on at most the surface's node count of
+    modes and write its artifacts; returns their file names."""
+    surface = config.build_surface()
+    n_modes = min(config.n_modes, surface.node_count)
+    artifacts = _SUBCOMMANDS[config.command].run(config, surface, n_modes)
+    for name, artifact in artifacts.items():
+        path = os.path.join(config.out_dir, name)
+        if name.endswith(".csv"):
+            artifact.export_csv(path)
+        else:
+            _write_json(path, artifact)
+    return sorted(artifacts)
 
 
 def build_parser():
@@ -365,7 +350,7 @@ def build_parser():
         description="spectral perturbation experiments on discrete surfaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name in _SUBCOMMANDS:
         cmd = sub.add_parser(name, help=f"run the {name} pipeline")
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", default=".", help="output directory")
@@ -405,8 +390,7 @@ def main(argv=None):
         config = load_config(args.command, args)
         _make_out_dir(config.out_dir)
         started = time.monotonic()
-        artifacts = _RUNNERS[args.command](config)
-        _write_manifest(config, artifacts, time.monotonic() - started)
+        _write_manifest(config, run_command(config), time.monotonic() - started)
     except (IsospecError, MemoryError) as exc:
         code = 2 if isinstance(exc, InputError) else 3
         logger.debug("run failed with exit code %d", code, exc_info=True)

@@ -415,14 +415,11 @@ def weyl_volume_estimate(spectral):
     return float(4.0 * np.pi * np.sum(counts * lam) / denom)
 
 
-def default_field_basis(surface, dim, spectral=None, tol_deg=eigen.DEFAULT_TOL_DEG):
-    """Low-frequency field basis: Fourier fields on the torus, low modes
-    of the Laplacian itself on meshes."""
+def default_field_basis(surface, dim, spectral):
+    """Low-frequency field basis: Fourier fields on the torus, the first
+    dim modes of the surface's spectrum on meshes."""
     if surface.kind is SurfaceKind.TORUS_GRID:
         return fourier_fields(surface, dim)
-    if spectral is None:
-        pair = assemble_base(surface)
-        spectral = eigen.solve(pair, dim, tol_deg)
     if spectral.n_modes < dim:
         raise ModeCountError(f"need {dim} modes for the mesh field basis")
     return [

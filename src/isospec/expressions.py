@@ -54,8 +54,9 @@ def evaluate(text, coords):
     Raises
     ------
     ExpressionError
-        On syntax errors, unsupported constructs, or nesting too deep for
-        the parser or the evaluator.
+        On syntax errors, unsupported constructs, nesting too deep for
+        the parser or the evaluator, or values that are not finite; numpy
+        warns of none of them.
     """
     names = dict(coords)
     names["pi"] = math.pi
@@ -65,7 +66,10 @@ def evaluate(text, coords):
         break
 
     try:
-        result = _eval_node(ast.parse(text, mode="eval").body, names)
+        # overflow, division by zero and invalid values leave inf or nan,
+        # which the finiteness check below refuses
+        with np.errstate(all="ignore"):
+            result = _eval_node(ast.parse(text, mode="eval").body, names)
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc.msg}") from exc
     except (MemoryError, RecursionError) as exc:

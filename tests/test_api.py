@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import isospec
+from isospec import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +30,20 @@ def test_top_level_exports_the_readme_names():
     )
     for name in isospec.__all__:
         assert hasattr(isospec, name)
+
+
+def test_readme_subcommand_table_matches_the_cli():
+    rows = {}
+    for line in README.read_text().split("Per subcommand:", 1)[1].splitlines():
+        if line.startswith("| `"):
+            name, keys, notes = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[name.strip("`")] = (set(re.findall(r"`(\w+)`", keys)), notes)
+        elif rows:
+            break
+    assert list(rows) == list(cli._SUBCOMMANDS)
+    for name, (keys, notes) in rows.items():
+        assert keys == cli._SUBCOMMANDS[name].extra_keys, name
+        stated = re.search(r"defaults to (\d+) modes", notes)
+        if stated:
+            assert int(stated[1]) == cli._SUBCOMMANDS[name].default_modes, name
+    assert "defaults to 100 modes" in rows["weyl"][1]

@@ -180,6 +180,34 @@ def test_mode_request_clamped_to_node_count(tmp_path):
     assert len(read_rows(out / "spectrum.csv")) == 1 + 144
 
 
+MODE_COUNT_EXTRA = {
+    "spectrum": {},
+    "corrections": {"f1": "0.2*cos(2*pi*x)*sin(2*pi*y)"},
+    "obstruction": {},
+    "convexity": {"c1": "1", "c2": "2+cos(2*pi*x)"},
+    "metric-probe": {"f1": "0.1*cos(2*pi*x)"},
+    "weyl": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+def test_every_subcommand_clamps_modes_to_the_node_count(tmp_path, command):
+    config = write_config(tmp_path, torus_config(nx=8, **MODE_COUNT_EXTRA[command]))
+    out = tmp_path / "out"
+    argv = [command, "--config", config, "--out", str(out), "--modes", "100"]
+    assert cli.main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["n_modes"] == 100
+    for name in manifest["artifacts"]:
+        if name.endswith(".json"):
+            assert json.loads((out / name).read_text())["n_modes"] == 64, name
+            continue
+        # metric_probe.csv has one row per step t, not per mode
+        with open(out / name, newline="") as fh:
+            modes = {row["mode"] for row in csv.DictReader(fh) if "mode" in row}
+        assert len(modes) == (0 if name == "metric_probe.csv" else 64), name
+
+
 def test_manifest_reproducible(tmp_path):
     config = write_config(tmp_path, torus_config(n_modes=6))
     outs = [tmp_path / "a", tmp_path / "b"]
@@ -226,10 +254,11 @@ def test_error_family_decides_exit_code(tmp_path, capsys, monkeypatch):
     for name, cls in sorted(classes.items()):
         error = cls("boom", node_index=0) if cls is errors.PositivityError else cls("boom")
 
-        def runner(config, error=error):
+        def runner(config, surface, n_modes, error=error):
             raise error
 
-        monkeypatch.setitem(cli._RUNNERS, "spectrum", runner)
+        spectrum = cli._SUBCOMMANDS["spectrum"]._replace(run=runner)
+        monkeypatch.setitem(cli._SUBCOMMANDS, "spectrum", spectrum)
         code = cli.main(["spectrum", "--config", config, "--out", str(tmp_path / "out")])
         assert code == (2 if name in INPUT_ERRORS else 3), name
         assert only_error(capsys) == {"error": name, "message": "boom"}
@@ -320,6 +349,32 @@ def test_deeply_nested_expression_is_config_error(tmp_path, capsys, expr):
     config = write_config(tmp_path, torus_config(f1=expr))
     assert cli.main(["corrections", "--config", config, "--out", str(tmp_path)]) == 2
     assert only_error(capsys)["error"] == "ExpressionError"
+
+
+# expressions whose evaluation makes numpy warn: division by zero, overflow, nan
+WARNING_EXPRESSIONS = ["1/x", "1e200*1e200*x", "pow(x-1, 0.5)"]
+
+
+@pytest.mark.parametrize("f1", WARNING_EXPRESSIONS)
+def test_non_finite_expression_is_config_error(tmp_path, capsys, f1):
+    # the suite turns a RuntimeWarning into an exception, so a numpy warning
+    # raised while evaluating would escape main instead of giving exit 2
+    config = write_config(tmp_path, torus_config(nx=8, f1=f1))
+    assert cli.main(["corrections", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    record = only_error(capsys)
+    assert record["error"] == "ExpressionError"
+    assert "non-finite" in record["message"]
+
+
+@pytest.mark.parametrize("f1", WARNING_EXPRESSIONS)
+def test_non_finite_expression_writes_only_the_error_record(tmp_path, f1):
+    config = write_config(tmp_path, torus_config(nx=8, f1=f1))
+    done = run_module(["-m", "isospec.cli", "corrections", "--config", config,
+                       "--out", str(tmp_path / "out")])
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert json.loads(lines[0])["error"] == "ExpressionError"
 
 
 def test_tau_grid_outside_unit_interval_is_config_error(tmp_path, capsys):

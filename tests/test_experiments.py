@@ -580,7 +580,7 @@ def test_weyl_unit_torus_low_window():
 
 
 def test_default_field_basis_torus(torus12):
-    basis = default_field_basis(torus12, 7)
+    basis = default_field_basis(torus12, 7, eigen.solve(assemble_base(torus12), 7))
     assert len(basis) == 7
     np.testing.assert_allclose(basis[0].values, 1.0)
     for f in basis:
@@ -589,7 +589,7 @@ def test_default_field_basis_torus(torus12):
 
 def test_default_field_basis_mesh(octahedron_path):
     surface = load_mesh(octahedron_path)
-    basis = default_field_basis(surface, 4)
+    basis = default_field_basis(surface, 4, eigen.solve(assemble_base(surface), 4))
     assert len(basis) == 4
     assert all(f.surface is surface for f in basis)
     assert np.std(basis[0].values) <= 1e-10
