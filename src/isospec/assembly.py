@@ -278,9 +278,10 @@ def conformal_factor(pert, t):
 
 
 def check_positive(values, label):
-    """Raise PositivityError naming the first node where values <= 0."""
-    if np.any(values <= 0.0):
-        node = int(np.flatnonzero(values <= 0.0)[0])
+    """Raise PositivityError naming the first node not > 0, NaN included."""
+    bad = ~(values > 0.0)
+    if bad.any():
+        node = int(np.flatnonzero(bad)[0])
         raise PositivityError(f"{label} nonpositive at node {node}", node_index=node)
 
 

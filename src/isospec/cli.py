@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,38 +45,6 @@ from .surface import (
 
 logger = logging.getLogger(__name__)
 
-_COMMON_KEYS = {"surface", "n_modes", "tol_deg", "seed"}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated settings for one run; flags already folded in."""
-
-    command: str
-    out_dir: str
-    surface_spec: dict
-    n_modes: int
-    tol_deg: float = eigen.DEFAULT_TOL_DEG
-    seed: int | None = None
-    side: PerturbationSide = PerturbationSide.INVERSE_METRIC
-    f1: str | None = None
-    f2: str | None = None
-    c1: str | None = None
-    c2: str | None = None
-    basis_size: int = 9
-    kernel_tol: float = DEFAULT_KERNEL_TOL
-    tau_grid: tuple = ()
-    t_grid: tuple = ()
-    raw: dict = field(default_factory=dict)
-
-    def build_surface(self):
-        spec = self.surface_spec
-        if spec["kind"] == "torus":
-            return make_torus(
-                spec["nx"], spec["ny"], spec.get("lx", 1.0), spec.get("ly", 1.0)
-            )
-        return load_mesh(spec["path"])
-
 
 def _expect(mapping, key, kinds, context, required=False, default=None):
     if key not in mapping:
@@ -88,12 +55,14 @@ def _expect(mapping, key, kinds, context, required=False, default=None):
     if kinds is float:
         if not _finite_number(value):
             raise ConfigError(f"{context}: key '{key}' must be a finite number")
-        return value
-    if kinds is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kinds)
-    if not ok:
+    elif kinds is list:
+        if value is None:  # a null grid reads as its default
+            return default
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{context}: '{key}' must be a non-empty list")
+        if not all(map(_finite_number, value)):
+            raise ConfigError(f"{context}: '{key}' entries must be finite numbers")
+    elif not isinstance(value, kinds) or (kinds is int and isinstance(value, bool)):
         raise ConfigError(f"{context}: key '{key}' has the wrong type")
     return value
 
@@ -115,6 +84,7 @@ def _reject_unknown(mapping, allowed, context):
 
 
 def _validate_surface(spec):
+    """True for a valid surface spec; raises ConfigError on a fault."""
     if not isinstance(spec, dict):
         raise ConfigError("'surface' must be an object")
     kind = _expect(spec, "kind", str, "surface", required=True)
@@ -133,24 +103,46 @@ def _validate_surface(spec):
             raise ConfigError(f"surface: mesh file not found: {path}")
     else:
         raise ConfigError(f"surface: unknown kind '{kind}'")
-    return spec
+    return True
 
 
-def _grid_values(data, key, context):
-    raw = data.get(key)
-    if raw is None:
-        return None
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{context}: '{key}' must be a non-empty list")
-    values = []
-    for entry in raw:
-        if not _finite_number(entry):
-            raise ConfigError(f"{context}: '{key}' entries must be finite numbers")
-        values.append(float(entry))
-    return tuple(values)
+REQUIRED = object()  # the default of a key that the config must give
+
+_SIDES = {side.value for side in PerturbationSide}
+
+# key -> (JSON type, range check or None, message for a value out of range);
+# the surface check raises its own errors
+_KEY_RULES = {
+    "surface": (dict, _validate_surface, None),
+    "n_modes": (int, lambda n: n >= 1, "n_modes must be at least 1"),
+    "tol_deg": (float, lambda tol: 1e-12 <= tol <= 1e-2, "tol_deg must lie in [1e-12, 1e-2]"),
+    "seed": (int, lambda seed: seed >= 0, "seed must be non-negative"),
+    "side": (str, lambda name: name in _SIDES, "unknown side '{}'"),
+    "f1": (str, None, None),
+    "f2": (str, None, None),
+    "c1": (str, None, None),
+    "c2": (str, None, None),
+    "basis_size": (int, lambda size: size >= 1, "basis_size must be at least 1"),
+    # a relative threshold at or above 1 puts every singular value in the kernel
+    "kernel_tol": (float, lambda tol: 0.0 < tol < 1.0, "kernel_tol must lie in (0, 1)"),
+    "tau_grid": (
+        list, lambda taus: all(0.0 <= tau <= 1.0 for tau in taus),
+        "tau_grid entries must lie in [0, 1]",
+    ),
+    "t_grid": (list, None, None),
+}
+
+
+def _build_surface(spec):
+    if spec["kind"] == "torus":
+        return make_torus(spec["nx"], spec["ny"], spec.get("lx", 1.0), spec.get("ly", 1.0))
+    return load_mesh(spec["path"])
 
 
 def load_config(command, args):
+    """The validated config of a run as a plain dict: every key the
+    subcommand takes, given or at its default, with --modes and --seed
+    folded in; a key with no value is left out."""
     try:
         with open(args.config) as fh:
             data = json.load(fh)
@@ -160,66 +152,23 @@ def load_config(command, args):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    subcommand = _SUBCOMMANDS[command]
-    _reject_unknown(data, _COMMON_KEYS | subcommand.extra_keys, command)
-    surface_spec = _validate_surface(
-        _expect(data, "surface", dict, command, required=True)
-    )
-
-    n_modes = _expect(data, "n_modes", int, command, default=subcommand.default_modes)
-    if args.modes is not None:
-        n_modes = args.modes
-    if n_modes < 1:
-        raise ConfigError(f"{command}: n_modes must be at least 1")
-
-    tol_deg = _expect(data, "tol_deg", float, command, default=eigen.DEFAULT_TOL_DEG)
-    if not 1e-12 <= tol_deg <= 1e-2:
-        raise ConfigError(f"{command}: tol_deg must lie in [1e-12, 1e-2]")
-
-    seed = _expect(data, "seed", int, command)
-    if args.seed is not None:
-        seed = args.seed
-    if seed is not None and seed < 0:
-        raise ConfigError(f"{command}: seed must be non-negative")
-
-    side = PerturbationSide.INVERSE_METRIC
-    if command == "corrections":
-        name = _expect(data, "side", str, command, default="inverse_metric")
-        try:
-            side = PerturbationSide(name)
-        except ValueError:
-            raise ConfigError(f"{command}: unknown side '{name}'") from None
-        if side is PerturbationSide.METRIC and data.get("f2") is not None:
-            raise ConfigError(f"{command}: metric side expansions stop at f1")
-
-    config = ExperimentConfig(
-        command=command,
-        out_dir=args.out,
-        surface_spec=surface_spec,
-        n_modes=n_modes,
-        tol_deg=tol_deg,
-        seed=seed,
-        side=side,
-        f1=_expect(data, "f1", str, command, required=command in ("corrections", "metric-probe")),
-        f2=_expect(data, "f2", str, command),
-        c1=_expect(data, "c1", str, command, required=command == "convexity"),
-        c2=_expect(data, "c2", str, command, required=command == "convexity"),
-        basis_size=_expect(data, "basis_size", int, command, default=9),
-        kernel_tol=_expect(
-            data, "kernel_tol", float, command, default=DEFAULT_KERNEL_TOL
-        ),
-        tau_grid=_grid_values(data, "tau_grid", command)
-        or (0.0, 0.25, 0.5, 0.75, 1.0),
-        t_grid=_grid_values(data, "t_grid", command) or (1e-3, -1e-3, 5e-3),
-        raw=data,
-    )
-    if config.basis_size < 1:
-        raise ConfigError(f"{command}: basis_size must be at least 1")
-    # a relative threshold at or above 1 puts every singular value in the kernel
-    if not 0.0 < config.kernel_tol < 1.0:
-        raise ConfigError(f"{command}: kernel_tol must lie in (0, 1)")
-    if not all(0.0 <= tau <= 1.0 for tau in config.tau_grid):
-        raise ConfigError(f"{command}: tau_grid entries must lie in [0, 1]")
+    keys = _SUBCOMMANDS[command].config_keys
+    _reject_unknown(data, set(keys), command)
+    flags = {"n_modes": args.modes, "seed": args.seed}
+    config = {}
+    for key, default in keys.items():
+        kinds, in_range, message = _KEY_RULES[key]
+        required = default is REQUIRED
+        value = _expect(data, key, kinds, command, required=required, default=default)
+        if flags.get(key) is not None:
+            value = flags[key]
+        if value is None:
+            continue
+        if in_range is not None and not in_range(value):
+            raise ConfigError(f"{command}: " + message.format(value))
+        config[key] = value
+    if config.get("side") == PerturbationSide.METRIC.value and "f2" in config:
+        raise ConfigError(f"{command}: metric side expansions stop at f1")
     return config
 
 
@@ -229,79 +178,71 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _effective_config(config):
-    echo = dict(config.raw)
-    echo["n_modes"] = config.n_modes
-    if config.seed is not None:
-        echo["seed"] = config.seed
-    return echo
-
-
-def _write_manifest(config, artifacts, wall_time):
+def _write_manifest(command, config, out_dir, artifacts, wall_time):
     payload = {
         "schema_version": 1,
-        "command": config.command,
-        "config": _effective_config(config),
+        "command": command,
+        "config": config,
         "versions": {
             "isospec": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "seed": config.seed,
+        "seed": config.get("seed"),
         "wall_time_s": wall_time,
         "artifacts": sorted(artifacts),
     }
-    _write_json(os.path.join(config.out_dir, "manifest.json"), payload)
+    _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
 def run_spectrum(config, surface, n_modes):
-    spectral = eigen.solve(assemble_base(surface), n_modes, config.tol_deg)
+    spectral = eigen.solve(assemble_base(surface), n_modes, config["tol_deg"])
     return {"spectrum.csv": spectral}
 
 
 def run_corrections(config, surface, n_modes):
     pair = assemble_base(surface)
-    f1 = field_from_expression(surface, config.f1)
-    f2 = field_from_expression(surface, config.f2) if config.f2 else None
-    pert = ConformalPerturbation(side=config.side, f1=f1, f2=f2)
+    f1 = field_from_expression(surface, config["f1"])
+    f2 = field_from_expression(surface, config["f2"]) if config.get("f2") else None
+    pert = ConformalPerturbation(side=PerturbationSide(config["side"]), f1=f1, f2=f2)
     ops = conformal_operators(pair, pert)
-    report = compute_corrections(eigen.solve_window(pair, n_modes, config.tol_deg), ops)
+    report = compute_corrections(eigen.solve_window(pair, n_modes, config["tol_deg"]), ops)
     return {"corrections.json": report.to_json_dict()}
 
 
 def run_obstruction(config, surface, n_modes):
-    if config.basis_size > surface.node_count:
+    if config["basis_size"] > surface.node_count:
         n = surface.node_count
         raise ConfigError(f"obstruction: basis_size exceeds the {n} surface nodes")
     # the map is basis-independent only over complete degeneracy groups
-    spectral = eigen.solve_window(assemble_base(surface), n_modes, config.tol_deg)
-    basis = default_field_basis(surface, config.basis_size, spectral)
+    spectral = eigen.solve_window(assemble_base(surface), n_modes, config["tol_deg"])
+    basis = default_field_basis(surface, config["basis_size"], spectral)
     report = obstruction_map(
-        spectral, basis, spectral.n_modes, kernel_tol=config.kernel_tol
+        spectral, basis, spectral.n_modes, kernel_tol=config["kernel_tol"]
     )
     return {"obstruction.json": report.to_json_dict()}
 
 
 def run_convexity(config, surface, n_modes):
-    c1 = field_from_expression(surface, config.c1)
-    c2 = field_from_expression(surface, config.c2)
+    c1 = field_from_expression(surface, config["c1"])
+    c2 = field_from_expression(surface, config["c2"])
     report = convexity_probe(
-        surface, c1, c2, n_modes, np.array(config.tau_grid), config.tol_deg
+        surface, c1, c2, n_modes, config["tau_grid"], config["tol_deg"]
     )
     return {"convexity.json": report.to_json_dict(), "convexity.csv": report}
 
 
 def run_metric_probe(config, surface, n_modes):
-    f1 = field_from_expression(surface, config.f1)
+    f1 = field_from_expression(surface, config["f1"])
     report = metric_side_probe(
-        surface, f1, n_modes, np.array(config.t_grid), config.tol_deg
+        surface, f1, n_modes, config["t_grid"], config["tol_deg"]
     )
     return {"metric_probe.json": report.to_json_dict(), "metric_probe.csv": report}
 
 
 def run_weyl(config, surface, n_modes):
-    spectral = eigen.solve(assemble_base(surface), n_modes, config.tol_deg)
+    spectral = eigen.solve(assemble_base(surface), n_modes, config["tol_deg"])
     return {"weyl.json": {
         "schema_version": 1,
         "n_modes": spectral.n_modes,
@@ -312,31 +253,61 @@ def run_weyl(config, surface, n_modes):
 
 class Subcommand(NamedTuple):
     """A runner (config, surface, n_modes) -> {file name: artifact}, where a
-    .json artifact is its payload and a .csv one has ``export_csv``."""
+    .json artifact is its payload and a .csv one has ``export_csv``; the
+    extra config keys with their defaults (REQUIRED if the config must give
+    the key, None if it has no value); and the default n_modes."""
 
     run: Callable
-    extra_keys: frozenset
+    keys: dict
     default_modes: int
+
+    @property
+    def extra_keys(self):
+        return frozenset(self.keys)
+
+    @property
+    def config_keys(self):
+        """Every config key of the subcommand, common ones first, with its default."""
+        return {
+            "surface": REQUIRED,
+            "n_modes": self.default_modes,
+            "tol_deg": eigen.DEFAULT_TOL_DEG,
+            "seed": None,
+            **self.keys,
+        }
 
 
 _SUBCOMMANDS = {
-    "spectrum": Subcommand(run_spectrum, frozenset(), 10),
-    "corrections": Subcommand(run_corrections, frozenset({"side", "f1", "f2"}), 10),
-    "obstruction": Subcommand(run_obstruction, frozenset({"basis_size", "kernel_tol"}), 10),
-    "convexity": Subcommand(run_convexity, frozenset({"c1", "c2", "tau_grid"}), 8),
-    "metric-probe": Subcommand(run_metric_probe, frozenset({"f1", "t_grid"}), 10),
-    "weyl": Subcommand(run_weyl, frozenset(), 100),
+    "spectrum": Subcommand(run_spectrum, {}, 10),
+    "corrections": Subcommand(
+        run_corrections,
+        {"side": PerturbationSide.INVERSE_METRIC.value, "f1": REQUIRED, "f2": None},
+        10,
+    ),
+    "obstruction": Subcommand(
+        run_obstruction, {"basis_size": 9, "kernel_tol": DEFAULT_KERNEL_TOL}, 10
+    ),
+    "convexity": Subcommand(
+        run_convexity,
+        {"c1": REQUIRED, "c2": REQUIRED, "tau_grid": (0.0, 0.25, 0.5, 0.75, 1.0)},
+        8,
+    ),
+    "metric-probe": Subcommand(
+        run_metric_probe, {"f1": REQUIRED, "t_grid": (1e-3, -1e-3, 5e-3)}, 10
+    ),
+    "weyl": Subcommand(run_weyl, {}, 100),
 }
 
 
-def run_command(config):
-    """Run the config's subcommand on at most the surface's node count of
-    modes and write its artifacts; returns their file names."""
-    surface = config.build_surface()
-    n_modes = min(config.n_modes, surface.node_count)
-    artifacts = _SUBCOMMANDS[config.command].run(config, surface, n_modes)
+def run_command(command, config, out_dir):
+    """Run the subcommand on at most the surface's node count of modes,
+    recorded in place as the config's n_modes, and write its artifacts;
+    returns their file names."""
+    surface = _build_surface(config["surface"])
+    n_modes = config["n_modes"] = min(config["n_modes"], surface.node_count)
+    artifacts = _SUBCOMMANDS[command].run(config, surface, n_modes)
     for name, artifact in artifacts.items():
-        path = os.path.join(config.out_dir, name)
+        path = os.path.join(out_dir, name)
         if name.endswith(".csv"):
             artifact.export_csv(path)
         else:
@@ -388,9 +359,10 @@ def main(argv=None):
         return run_selftest(seed=args.seed)
     try:
         config = load_config(args.command, args)
-        _make_out_dir(config.out_dir)
+        _make_out_dir(args.out)
         started = time.monotonic()
-        _write_manifest(config, run_command(config), time.monotonic() - started)
+        artifacts = run_command(args.command, config, args.out)
+        _write_manifest(args.command, config, args.out, artifacts, time.monotonic() - started)
     except (IsospecError, MemoryError) as exc:
         code = 2 if isinstance(exc, InputError) else 3
         logger.debug("run failed with exit code %d", code, exc_info=True)

@@ -218,7 +218,7 @@ def _solve(pair, n_modes, tol_deg, window):
         raise ModeCountError(f"n_modes={n_modes} outside [1, {n}]")
     if not 1e-12 <= tol_deg <= 1e-2:
         raise ValueError(f"tol_deg={tol_deg!r} outside [1e-12, 1e-2]")
-    if np.any(pair.mass <= 0.0):
+    if not np.all(pair.mass > 0.0):
         raise NumericalBreakdownError("mass diagonal has nonpositive entries")
 
     counts = Counter()

@@ -18,7 +18,7 @@ class InputError(IsospecError):
 
 
 class GridTooSmallError(InputError):
-    """Torus grid dimensions below the supported minimum."""
+    """Torus grid dimensions or periods outside the supported range."""
 
 
 class MeshParseError(InputError):

@@ -231,7 +231,7 @@ def convexity_probe(surface, c1, c2, n_modes, tau_grid, tol_deg=eigen.DEFAULT_TO
     check_positive(c1.values, "endpoint factor c1")
     check_positive(c2.values, "endpoint factor c2")
     taus = np.asarray(tau_grid, dtype=float)
-    if taus.size == 0 or np.any(taus < 0.0) or np.any(taus > 1.0):
+    if taus.size == 0 or not np.all((taus >= 0.0) & (taus <= 1.0)):
         raise ValueError("tau_grid must be nonempty within [0, 1]")
 
     pair = assemble_base(surface)

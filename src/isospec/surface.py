@@ -161,7 +161,8 @@ def make_torus(nx, ny, lx, ly):
     Parameters
     ----------
     nx, ny : int
-        Grid dimensions, at least 4 each.
+        Grid dimensions, at least 4 each, whose nx*ny float64 values fit
+        the address space.
     lx, ly : float
         Torus periods, strictly positive.
     """
@@ -169,6 +170,11 @@ def make_torus(nx, ny, lx, ly):
     if nx < MIN_GRID_DIM or ny < MIN_GRID_DIM:
         raise GridTooSmallError(
             f"torus grid must be at least {MIN_GRID_DIM}x{MIN_GRID_DIM}, got {nx}x{ny}"
+        )
+    if nx * ny * 8 > np.iinfo(np.intp).max:
+        raise GridTooSmallError(
+            f"torus grid {nx}x{ny} is too large: {nx * ny} float64 node values "
+            "exceed the address space"
         )
     if not (lx > 0 and ly > 0):
         raise GridTooSmallError(f"torus periods must be positive, got {lx}, {ly}")

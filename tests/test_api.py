@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -32,18 +33,37 @@ def test_top_level_exports_the_readme_names():
         assert hasattr(isospec, name)
 
 
+def _stated_default(text):
+    """A key's default as README states it: required, none, or a value."""
+    if text == "required":
+        return cli.REQUIRED
+    if not text:
+        return None
+    value = text.removeprefix("default ")
+    return value.strip("`") if value.startswith("`") else json.loads(value)
+
+
 def test_readme_subcommand_table_matches_the_cli():
     rows = {}
     for line in README.read_text().split("Per subcommand:", 1)[1].splitlines():
         if line.startswith("| `"):
             name, keys, notes = (cell.strip() for cell in line.strip("|").split("|"))
-            rows[name.strip("`")] = (set(re.findall(r"`(\w+)`", keys)), notes)
+            # `key`, `key` (required) or `key` (default value)
+            keys = dict(re.findall(r"`(\w+)`(?: \((required|default .+?)\))?", keys))
+            rows[name.strip("`")] = (keys, notes)
         elif rows:
             break
     assert list(rows) == list(cli._SUBCOMMANDS)
     for name, (keys, notes) in rows.items():
-        assert keys == cli._SUBCOMMANDS[name].extra_keys, name
+        subcommand = cli._SUBCOMMANDS[name]
+        assert set(keys) == subcommand.extra_keys, name
+        for key, default in subcommand.keys.items():
+            stated = _stated_default(keys[key])
+            if default is cli.REQUIRED or default is None:
+                assert stated is default, (name, key)
+            else:
+                assert stated == json.loads(json.dumps(default)), (name, key)
         stated = re.search(r"defaults to (\d+) modes", notes)
         if stated:
-            assert int(stated[1]) == cli._SUBCOMMANDS[name].default_modes, name
+            assert int(stated[1]) == subcommand.default_modes, name
     assert "defaults to 100 modes" in rows["weyl"][1]

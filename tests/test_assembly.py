@@ -6,6 +6,7 @@ from isospec import eigen
 from isospec.assembly import (
     analytic_area,
     assemble_base,
+    check_positive,
     conformal_factor,
     conformal_operators,
     exact_perturbed_pair,
@@ -194,6 +195,12 @@ def test_exact_pair_positivity_guard(pair16):
     with pytest.raises(PositivityError) as info:
         exact_perturbed_pair(pair16, pert, -1.5)
     assert info.value.node_index is not None
+
+
+def test_check_positive_names_a_nan_node():
+    with pytest.raises(PositivityError) as info:
+        check_positive(np.array([1.0, np.nan, 2.0]), "factor")
+    assert info.value.node_index == 1
 
 
 def test_conformal_factor_both_sides(pair16):

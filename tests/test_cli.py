@@ -197,7 +197,7 @@ def test_every_subcommand_clamps_modes_to_the_node_count(tmp_path, command):
     argv = [command, "--config", config, "--out", str(out), "--modes", "100"]
     assert cli.main(argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["n_modes"] == 100
+    assert manifest["config"]["n_modes"] == 64
     for name in manifest["artifacts"]:
         if name.endswith(".json"):
             assert json.loads((out / name).read_text())["n_modes"] == 64, name
@@ -206,6 +206,27 @@ def test_every_subcommand_clamps_modes_to_the_node_count(tmp_path, command):
         with open(out / name, newline="") as fh:
             modes = {row["mode"] for row in csv.DictReader(fh) if "mode" in row}
         assert len(modes) == (0 if name == "metric_probe.csv" else 64), name
+
+
+@pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+def test_manifest_echoes_the_effective_config(tmp_path, command):
+    given = torus_config(**MODE_COUNT_EXTRA[command])
+    config = write_config(tmp_path, given)
+    outs = [tmp_path / "first", tmp_path / "second"]
+    assert cli.main([command, "--config", config, "--out", str(outs[0])]) == 0
+    echo = json.loads((outs[0] / "manifest.json").read_text())["config"]
+    defaults = {
+        key: default for key, default in cli._SUBCOMMANDS[command].config_keys.items()
+        if default is not None and default is not cli.REQUIRED
+    }
+    assert echo == {**json.loads(json.dumps(defaults)), **given}
+    # the echo is itself a config, and it reproduces the run
+    again = write_config(tmp_path, echo, name="echo.json")
+    assert cli.main([command, "--config", again, "--out", str(outs[1])]) == 0
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+    assert manifests[1]["config"] == echo
+    for name in manifests[0]["artifacts"]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_manifest_reproducible(tmp_path):
@@ -322,6 +343,16 @@ def test_grid_too_small_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, torus_config(nx=2))
     assert cli.main(["spectrum", "--config", config, "--out", str(tmp_path)]) == 2
     assert last_error(capsys)["error"] == "GridTooSmallError"
+
+
+@pytest.mark.parametrize("nx", [2**60, 10**20])
+def test_oversized_grid_is_config_error(tmp_path, capsys, monkeypatch, nx):
+    # 4*nx float64 node values exceed the address space; the grid is refused
+    # before any array is built
+    monkeypatch.setattr(cli, "assemble_base", lambda surface: pytest.fail("assembled"))
+    config = write_config(tmp_path, {"surface": {"kind": "torus", "nx": nx, "ny": 4}})
+    assert cli.main(["spectrum", "--config", config, "--out", str(tmp_path)]) == 2
+    assert only_error(capsys)["error"] == "GridTooSmallError"
 
 
 def test_bad_expression_is_config_error(tmp_path, capsys):

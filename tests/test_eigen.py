@@ -148,6 +148,12 @@ def test_nonpositive_mass_rejected():
         eigen.solve(pair, 2)
 
 
+def test_nan_mass_rejected():
+    pair = synthetic_pair(np.eye(3), np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(NumericalBreakdownError, match="mass diagonal has nonpositive"):
+        eigen.solve(pair, 2)
+
+
 def test_group_lookup(pair16):
     spectral = eigen.solve(pair16, 5)
     ids = spectral.group_ids()

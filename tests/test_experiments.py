@@ -362,6 +362,12 @@ def test_convexity_rejects_bad_grid(torus12):
         convexity_probe(torus12, c, c, 6, (-0.1, 0.5))
 
 
+def test_convexity_rejects_nan_tau(torus12):
+    c = constant_field(torus12, 1.0)
+    with pytest.raises(ValueError, match="tau_grid"):
+        convexity_probe(torus12, c, c, 6, (float("nan"),))
+
+
 def test_convexity_rejects_nonpositive_endpoint(torus12):
     values = np.ones(torus12.node_count)
     values[7] = -0.5
