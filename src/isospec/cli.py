@@ -56,8 +56,6 @@ def _expect(mapping, key, kinds, context, required=False, default=None):
         if not _finite_number(value):
             raise ConfigError(f"{context}: key '{key}' must be a finite number")
     elif kinds is list:
-        if value is None:  # a null grid reads as its default
-            return default
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{context}: '{key}' must be a non-empty list")
         if not all(map(_finite_number, value)):
@@ -260,10 +258,6 @@ class Subcommand(NamedTuple):
     run: Callable
     keys: dict
     default_modes: int
-
-    @property
-    def extra_keys(self):
-        return frozenset(self.keys)
 
     @property
     def config_keys(self):

@@ -32,6 +32,11 @@ Two paths, chosen from the problem size and the mode count alone:
 
 Whatever slicing cannot certify falls back to dense.  Both paths are
 deterministic: identical inputs give bit-identical outputs.
+
+Every sparse factorization and Lanczos run, here and in perturb's
+per-group solves, goes through one seam, _Kernels, which owns the SuperLU
+options and the counts.  A fill-reducing order shared by the factorizations
+of one stiffness matrix, and a BLAS thread pin, belong there too.
 """
 
 from __future__ import annotations
@@ -225,8 +230,10 @@ def _solve(pair, n_modes, tol_deg, window):
     solved = None
     slices = 0
     if n >= SPARSE_MIN_NODES and n_modes + 1 <= SPARSE_MAX_SLICED_FRACTION * n:
+        kernels = _Kernels(pair)
+        counts = kernels.counts
         try:
-            solved, vectors, slices = _solve_sliced(pair, n_modes, tol_deg, window, counts)
+            solved, vectors, slices = _solve_sliced(kernels, n_modes, tol_deg, window)
             path = "sliced"
         except _SparseFallback as exc:
             path = f"dense, sliced fallback: {exc}"
@@ -332,7 +339,7 @@ class _SparseFallback(Exception):
     """Slicing cannot deliver a certified answer; use dense."""
 
 
-def _solve_sliced(pair, n_modes, tol_deg, window, counts):
+def _solve_sliced(kernels, n_modes, tol_deg, window):
     """The closed window of n_modes, one certified Lanczos run per slice.
 
     Spectrum slicing (Ericsson & Ruhe 1980; Grimes, Lewis & Simon 1994).
@@ -349,8 +356,7 @@ def _solve_sliced(pair, n_modes, tol_deg, window, counts):
     and the number of slices; raises _SparseFallback when a slice cannot
     be certified.
     """
-    operators = _sparse_operators(pair)
-    lower = sigma = _ground_shift(operators[0], pair.mass)
+    lower = sigma = _ground_shift(kernels.stiffness, kernels.pair.mass)
     count, stop = 0, n_modes
     accepted_values, accepted_vectors = [], []
     while True:
@@ -361,7 +367,7 @@ def _solve_sliced(pair, n_modes, tol_deg, window, counts):
             spacing = (lower - accepted_values[0][0]) / count
             sigma = lower + 0.375 * want * spacing
         values, vectors, lower, above = _slice(
-            pair, operators, sigma, lower, count, want, accepted_vectors, tol_deg, counts
+            kernels, sigma, lower, count, want, accepted_vectors, tol_deg
         )
         accepted_values.append(values)
         accepted_vectors.append(vectors)
@@ -381,7 +387,7 @@ def _solve_sliced(pair, n_modes, tol_deg, window, counts):
             return all_values[:stop], vectors, len(accepted_values)
 
 
-def _slice(pair, operators, sigma, lower, count, want, accepted, tol_deg, counts):
+def _slice(kernels, sigma, lower, count, want, accepted, tol_deg):
     """About `want` eigenpairs from `lower` up, by shift-invert Lanczos about sigma.
 
     `count` eigenvalues lie below `lower`, and `accepted` holds their
@@ -397,22 +403,20 @@ def _slice(pair, operators, sigma, lower, count, want, accepted, tol_deg, counts
     up to three runs.
     Returns (values, vectors, boundary, first value above the boundary).
     """
-    n = pair.node_count
-    stiffness, mass, mass_op = operators
+    pair = kernels.pair
     k_ask = None
     for _ in range(3):
-        counts["inertia"] += 1
-        lu, below = _ldlt_inertia(stiffness - sigma * mass)
+        lu, below = kernels.inertia(sigma)
         if below < count or (sigma == lower and below != count):
             raise _SparseFallback(f"inertia count {below} below the shift {sigma:.3e}")
         if k_ask is None:
             k_ask = want if sigma == lower else 2 * (below - count) + want // 2
-        k_ask = min(max(k_ask, 2), n - 1)
-        reach, basis = _lanczos(stiffness, mass_op, sigma, lu, k_ask, counts)
+        k_ask = min(max(k_ask, 2), pair.node_count - 1)
+        reach, basis = kernels.lanczos(sigma, lu, k_ask)
         del lu  # one factorization held at a time
         if accepted:
             basis = _deflate(basis, accepted, pair.mass)
-        values, coeffs = _rayleigh_ritz(stiffness, pair.mass, basis)
+        values, coeffs = _rayleigh_ritz(kernels.stiffness, pair.mass, basis)
         first = int(np.searchsorted(values, lower))
         groups = degeneracy_partition(values[first:], tol_deg)
         # the run holds every eigenvalue nearer to sigma than its farthest
@@ -430,8 +434,7 @@ def _slice(pair, operators, sigma, lower, count, want, accepted, tol_deg, counts
         elif len(groups) >= 2:
             stop = first + groups[-1][0]
             mu = 0.5 * (values[stop - 1] + values[stop])
-            counts["inertia"] += 1
-            _, below_mu = _ldlt_inertia(stiffness - mu * mass)
+            _, below_mu = kernels.inertia(mu)
             if below_mu - count == stop - first:
                 vectors = np.einsum("ia,ab->ib", basis, coeffs[:, first:stop])
                 return values[first:stop], vectors, mu, values[stop]
@@ -479,66 +482,91 @@ def _ground_shift(stiffness, mass):
     return -SPARSE_SHIFT_REL * max(float(np.max(np.abs(stiffness.diagonal()) / mass)), 1.0)
 
 
-def _sparse_operators(pair):
-    """K in CSC; M0 as a sparse diagonal, for the factorizations; M0 applied elementwise."""
-    import scipy.sparse.linalg as spla
+class _Kernels:
+    """The sparse kernels of one operator pair: every SuperLU factorization
+    and ARPACK run of the package goes through one of these.
 
-    n = pair.node_count
-    mass = pair.mass
-    return (
-        pair.stiffness.tocsc(),
-        scipy.sparse.diags(mass, format="csc"),
-        spla.LinearOperator((n, n), matvec=lambda x: mass * x, dtype=float),
-    )
-
-
-def _lanczos(stiffness, mass_op, sigma, lu, k_ask, counts):
-    """Ritz values and basis of the k_ask modes nearest sigma, from the fixed start vector.
-
-    lu factors K - sigma M0; ARPACK in shift-invert mode.
+    Holds K in CSC and M0 as a sparse diagonal, fixes the options of each
+    factorization, and counts the calls of each kernel.  The model is
+    SLEPc's spectral transformation (Hernandez, Roman & Vidal, ACM TOMS
+    2005).  Build one per sliced solve and one per bordered group solve;
+    nothing here outlives it.  An order shared by every factorization, or
+    a thread pin around every kernel, belongs here.
     """
-    import scipy.sparse.linalg as spla
 
-    n = stiffness.shape[0]
-    # a basis of k + max(k / 3, 20) vectors, not ARPACK's 2 k + 1: as many
-    # solves (3 k at 2562 nodes), a smaller basis, and on 2562 nodes the
-    # n x ncv products stay below 460,800 entries, from which OpenBLAS
-    # splits its dgemv across threads and the split changes the rounding
-    ncv = min(k_ask + max(k_ask // 3, 20), n)
-    shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    counts["lanczos"] += 1
-    try:
-        return spla.eigsh(
-            stiffness, k_ask, M=mass_op, sigma=sigma, which="LM",
-            v0=start, tol=0, OPinv=shift_invert, ncv=ncv,
-            maxiter=ARPACK_MAX_RESTARTS,
+    def __init__(self, pair):
+        import scipy.sparse.linalg as spla  # lazy: keeps `import isospec.cli` light
+
+        self.spla = spla
+        self.pair = pair
+        self.stiffness = pair.stiffness.tocsc()
+        self.mass = scipy.sparse.diags(pair.mass, format="csc")
+        self.counts = Counter()
+
+    def inertia(self, sigma):
+        """(LU, count of negative pivots) of K - sigma M0.
+
+        Diagonal pivoting with a symmetric fill-reducing order makes SuperLU's
+        LU an LDL^T factorization, U = D L^T, so by Sylvester's law of inertia
+        the negative pivots count the eigenvalues below sigma.
+        """
+        self.counts["inertia"] += 1
+        try:
+            lu = self.spla.splu(
+                (self.stiffness - sigma * self.mass).tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:  # exactly singular pivot
+            raise _SparseFallback(f"shifted factorization failed: {exc}") from exc
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise _SparseFallback("shifted factorization pivoted off the diagonal")
+        return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+    def lanczos(self, sigma, lu, k_ask):
+        """Ritz values and basis of the k_ask modes nearest sigma, from the fixed start vector.
+
+        lu factors K - sigma M0; ARPACK in shift-invert mode.
+        """
+        spla, mass = self.spla, self.pair.mass
+        n = mass.shape[0]
+        # a basis of k + max(k / 3, 20) vectors, not ARPACK's 2 k + 1: as many
+        # solves (3 k at 2562 nodes), a smaller basis, and on 2562 nodes the
+        # n x ncv products stay below 460,800 entries, from which OpenBLAS
+        # splits its dgemv across threads and the split changes the rounding
+        ncv = min(k_ask + max(k_ask // 3, 20), n)
+        mass_op = spla.LinearOperator((n, n), matvec=lambda x: mass * x, dtype=float)
+        shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        self.counts["lanczos"] += 1
+        try:
+            return spla.eigsh(
+                self.stiffness, k_ask, M=mass_op, sigma=sigma, which="LM",
+                v0=start, tol=0, OPinv=shift_invert, ncv=ncv,
+                maxiter=ARPACK_MAX_RESTARTS,
+            )
+        except spla.ArpackError as exc:
+            raise _SparseFallback(f"ARPACK failed at k_ask={k_ask}: {exc}") from exc
+
+    def bordered(self, lam_g, border, rhs, members):
+        """The top n rows of Y in [[lam_g M0 - K, B], [B^T, 0]] Y = [rhs; 0], B the n x m border.
+
+        SuperLU's default order and partial pivoting; an exactly zero pivot
+        is a breakdown of the group of modes `members`.
+        """
+        n, m = border.shape
+        self.counts["bordered"] += 1
+        system = scipy.sparse.bmat(
+            [[lam_g * self.mass - self.stiffness, border], [border.T, None]], format="csc"
         )
-    except spla.ArpackError as exc:
-        raise _SparseFallback(f"ARPACK failed at k_ask={k_ask}: {exc}") from exc
-
-
-def _ldlt_inertia(shifted):
-    """(LU, count of negative pivots) of a symmetric sparse matrix.
-
-    Diagonal pivoting with a symmetric fill-reducing order makes SuperLU's
-    LU an LDL^T factorization, U = D L^T, so by Sylvester's law of inertia
-    the negative pivots count the negative eigenvalues of the matrix.
-    """
-    import scipy.sparse.linalg as spla
-
-    try:
-        lu = spla.splu(
-            shifted.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # exactly singular pivot
-        raise _SparseFallback(f"shifted factorization failed: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise _SparseFallback("shifted factorization pivoted off the diagonal")
-    return lu, int(np.count_nonzero(lu.U.diagonal() < 0.0))
+        try:
+            lu = self.spla.splu(system)
+        except RuntimeError as exc:  # an exactly zero pivot
+            raise NumericalBreakdownError(
+                f"bordered system of modes {members[0]}-{members[-1]} is singular"
+            ) from exc
+        return lu.solve(np.vstack([rhs, np.zeros((m, m))]))[:n]
 
 
 # a margin that overflows to inf or NaN fails its check, without a warning

@@ -23,6 +23,8 @@ off g and lambda_g the group mean, column a of the solution X of
 
 is sum_{i not in g} psi_i E[i, a] / (lambda_g - lambda_i), the M0-orthogonal
 part of the eigenvector correction, whatever window of modes was solved.
+The factorization of that bordered system comes from eigen's sparse-kernel
+seam (eigen._Kernels), which owns every SuperLU call of the package.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
-from .eigen import _fix_signs, _runs
+from .eigen import _Kernels, _fix_signs, _runs
 from .errors import ModeCountError, NumericalBreakdownError, SmallGapError
 
 GAP_GUARD = 1e-12
@@ -93,8 +94,6 @@ def _group_solve(ops, psi, lam, members):
     second-order effective operator.  Refuses with SmallGapError when the
     group mean lies within GAP_GUARD of another computed eigenvalue.
     """
-    import scipy.sparse.linalg as spla  # lazy: keeps `import isospec.cli` light
-
     sl = slice(members[0], members[-1] + 1)
     lam_g = float(np.mean(lam[sl]))
     outside = np.ones(lam.shape[0], dtype=bool)
@@ -107,22 +106,10 @@ def _group_solve(ops, psi, lam, members):
         )
     mass = ops.pair.mass
     psi_g = psi[:, sl]
-    n, m = psi_g.shape
     border = mass[:, None] * psi_g
-    bordered = scipy.sparse.bmat(
-        [[scipy.sparse.diags(lam_g * mass) - ops.pair.stiffness, border], [border.T, None]],
-        format="csc",
-    )
     h1psi = ops.apply_h1(psi_g)
-    rhs = np.zeros((n + m, m))
-    rhs[:n] = mass[:, None] * h1psi - border @ (border.T @ h1psi)
-    try:
-        lu = spla.splu(bordered)
-    except RuntimeError as exc:  # an exactly zero pivot
-        raise NumericalBreakdownError(
-            f"bordered system of modes {members[0]}-{members[-1]} is singular"
-        ) from exc
-    x = lu.solve(rhs)[:n]
+    rhs = mass[:, None] * h1psi - border @ (border.T @ h1psi)
+    x = _Kernels(ops.pair).bordered(lam_g, border, rhs, members)
     _check_orthogonal(border, x, members)
     m2 = ops.apply_h1_adjoint(psi_g).T @ (mass[:, None] * x)
     m2 += psi_g.T @ (mass[:, None] * ops.apply_h2(psi_g))

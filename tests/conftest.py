@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from isospec import eigen, perturb
+from isospec import eigen
 from isospec.assembly import assemble_base
 from isospec.surface import icosphere_arrays, make_torus
 
@@ -87,26 +87,25 @@ def rng():
 def solver_counts(monkeypatch):
     """Counts calls into the solver internals while a test runs.
 
-    "lanczos" counts Lanczos runs (eigen._lanczos), "inertia" the
-    LDL^T inertia factorizations, "bordered" the bordered factorizations
-    of degeneracy groups (perturb._group_solve), and "modes" lists the
+    "lanczos" counts Lanczos runs, "inertia" the LDL^T inertia
+    factorizations, "bordered" the bordered factorizations of degeneracy
+    groups (the methods of the seam eigen._Kernels), and "modes" lists the
     modes each call of the solve shared by eigen.solve and
     eigen.solve_window returned.
     """
     counts = {"lanczos": 0, "inertia": 0, "bordered": 0, "modes": []}
 
-    def count(owner, name, key):
-        real = getattr(owner, name)
+    def count(key):
+        real = getattr(eigen._Kernels, key)
 
         def counted(*args, **kwargs):
             counts[key] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(eigen._Kernels, key, counted)
 
-    count(eigen, "_lanczos", "lanczos")
-    count(eigen, "_ldlt_inertia", "inertia")
-    count(perturb, "_group_solve", "bordered")
+    for key in ("lanczos", "inertia", "bordered"):
+        count(key)
     shared = eigen._solve
 
     def solve(*args, **kwargs):

@@ -56,7 +56,7 @@ def test_readme_subcommand_table_matches_the_cli():
     assert list(rows) == list(cli._SUBCOMMANDS)
     for name, (keys, notes) in rows.items():
         subcommand = cli._SUBCOMMANDS[name]
-        assert set(keys) == subcommand.extra_keys, name
+        assert set(keys) == set(subcommand.keys), name
         for key, default in subcommand.keys.items():
             stated = _stated_default(keys[key])
             if default is cli.REQUIRED or default is None:

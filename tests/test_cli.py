@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from isospec import cli, eigen, errors
 from isospec.selftest import run_selftest
@@ -418,14 +419,14 @@ def test_tau_grid_outside_unit_interval_is_config_error(tmp_path, capsys):
     assert "tau_grid" in record["message"]
 
 
+GRID_KEYS = [
+    ("metric-probe", "t_grid", {"f1": "0.1*cos(2*pi*x)"}),
+    ("convexity", "tau_grid", {"c1": "1", "c2": "1"}),
+]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize(
-    "command, key, extra",
-    [
-        ("metric-probe", "t_grid", {"f1": "0.1*cos(2*pi*x)"}),
-        ("convexity", "tau_grid", {"c1": "1", "c2": "1"}),
-    ],
-)
+@pytest.mark.parametrize("command, key, extra", GRID_KEYS)
 def test_non_finite_grid_is_config_error(tmp_path, capsys, command, key, extra, value):
     data = torus_config(n_modes=4, **extra)
     data[key] = [0.5, value]
@@ -434,6 +435,22 @@ def test_non_finite_grid_is_config_error(tmp_path, capsys, command, key, extra, 
     record = only_error(capsys)
     assert record["error"] == "ConfigError"
     assert key in record["message"]
+
+
+@pytest.mark.parametrize(
+    "grid", [None, 0.5, "0.5", [], ["0.5"], [True]],
+    ids=["null", "number", "string", "empty", "string-entry", "bool-entry"],
+)
+@pytest.mark.parametrize("command, key, extra", GRID_KEYS)
+def test_wrong_type_grid_is_config_error(tmp_path, capsys, command, key, extra, grid):
+    # a null grid is refused like a null for any other key, not read as the default
+    config = write_config(tmp_path, {**torus_config(n_modes=4, **extra), key: grid})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+    record = only_error(capsys)
+    assert record["error"] == "ConfigError"
+    assert key in record["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -475,6 +492,21 @@ def test_degenerate_period_is_numerical_error(tmp_path, capsys, command):
     config = write_config(tmp_path, data)
     assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 3
     assert only_error(capsys)["error"] == "NumericalBreakdownError"
+
+
+def test_singular_bordered_system_is_numerical_error(tmp_path, capsys, monkeypatch):
+    # a fault injected where the per-group solve calls SuperLU; the 12 x 12
+    # torus takes the dense eigensolve, so only the bordered systems meet it
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    config = write_config(tmp_path, torus_config(n_modes=4, f1="0.3*cos(2*pi*x)"))
+    assert cli.main(["corrections", "--config", config, "--out", str(tmp_path / "out")]) == 3
+    assert only_error(capsys) == {
+        "error": "NumericalBreakdownError",
+        "message": "bordered system of modes 1-4 is singular",
+    }
 
 
 def test_basis_larger_than_surface_is_config_error(tmp_path, capsys):

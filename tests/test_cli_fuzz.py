@@ -54,7 +54,7 @@ def _rarely(p16):
 @st.composite
 def runs(draw):
     command = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
-    keys = {"n_modes", "tol_deg", "seed"} | cli._SUBCOMMANDS[command].extra_keys
+    keys = {"n_modes", "tol_deg", "seed"} | set(cli._SUBCOMMANDS[command].keys)
     allowed = sorted(keys & set(VALID))
     data = {}
     for key in allowed:

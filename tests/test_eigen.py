@@ -236,6 +236,13 @@ def solve_logged(caplog, pair, n_modes):
     return spectral, caplog.text
 
 
+def torus48_symbol():
+    """The whole spectrum of the 48 x 48 unit torus, from the 5-point symbol."""
+    h = 1.0 / 48
+    s = np.sin(np.pi * h * np.arange(48)) ** 2
+    return np.sort(((4.0 / h**2) * (s[:, None] + s[None, :])).ravel())
+
+
 def scaled_gap(values, reference):
     return np.max(np.abs(values - reference) / (1.0 + np.abs(reference)))
 
@@ -246,10 +253,7 @@ def test_sparse_torus48_matches_dense_and_symbol(pair48, dense48, caplog, k):
     assert "(sliced)" in log
     lam = spectral.eigenvalues
     assert scaled_gap(lam, dense48[0][:k]) <= 1e-10
-    h = 1.0 / 48
-    s = np.sin(np.pi * h * np.arange(48)) ** 2
-    symbol = np.sort(((4.0 / h**2) * (s[:, None] + s[None, :])).ravel())
-    assert scaled_gap(lam, symbol[:k]) <= 1e-10
+    assert scaled_gap(lam, torus48_symbol()[:k]) <= 1e-10
 
 
 @pytest.mark.parametrize("k", [8, 10, 20])
@@ -302,7 +306,7 @@ def test_solve_window_closes_the_cut_group():
             eigen.solve_window(pair, bad)
 
 
-def test_solve_window_is_one_sparse_solve(pair48, dense48, solver_counts, caplog):
+def test_solve_window_is_one_sparse_solve(pair48, solver_counts, caplog):
     # 10 modes of the 48 x 48 torus end inside the level of modes 9-12:
     # one slice, one Lanczos run, closes that level and certifies it with
     # its two inertia counts; that run is the window
@@ -314,7 +318,9 @@ def test_solve_window_is_one_sparse_solve(pair48, dense48, solver_counts, caplog
         "1 Lanczos runs, 2 inertia factorizations, 1 slices" in caplog.text
     )
     assert window.closed and window.n_modes == 13
-    assert scaled_gap(window.eigenvalues, dense48[0][:13]) <= 1e-12
+    # the closed-form symbol, not LAPACK: at one OpenBLAS thread LAPACK's
+    # ground value is -2.09e-12
+    assert scaled_gap(window.eigenvalues, torus48_symbol()[:13]) <= 1e-12
     again = eigen.solve_window(pair48, 10)
     assert np.array_equal(window.eigenvalues, again.eigenvalues)
     assert np.array_equal(window.eigenvectors, again.eigenvectors)
@@ -400,6 +406,52 @@ def test_solve_logs_path(pair16, pair48, caplog):
     spectral, log = solve_logged(caplog, shifted, 8)
     assert "solved 8 modes (dense, sliced fallback: inertia count 1 below the shift" in log
     assert spectral.eigenvalues[0] == pytest.approx(-20.0, rel=1e-10)
+
+
+class _OffDiagonalPivots:
+    """A factorization whose row order differs from its column order."""
+
+    def __init__(self, lu):
+        self.perm_c = lu.perm_c
+        self.perm_r = lu.perm_c[::-1]
+
+
+def _singular(real):
+    def splu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    return splu
+
+
+def _off_diagonal(real):
+    return lambda *args, **kwargs: _OffDiagonalPivots(real(*args, **kwargs))
+
+
+def _arpack_error(real):
+    def eigsh(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    return eigsh
+
+
+@pytest.mark.parametrize(
+    "name, fault, reason",
+    [
+        ("splu", _singular, "shifted factorization failed: Factor is exactly singular"),
+        ("splu", _off_diagonal, "shifted factorization pivoted off the diagonal"),
+        ("eigsh", _arpack_error, "ARPACK failed at k_ask=14: ARPACK error -9999"),
+    ],
+    ids=["singular", "off-diagonal-pivots", "arpack-error"],
+)
+def test_sparse_kernel_faults_fall_back_to_dense(
+    pair48, dense48, monkeypatch, caplog, name, fault, reason
+):
+    # faults injected where the solver calls SuperLU and ARPACK: each
+    # sends the solve to dense, with its reason in the log
+    monkeypatch.setattr(spla, name, fault(getattr(spla, name)))
+    spectral, log = solve_logged(caplog, pair48, 8)
+    assert f"solved 8 modes (dense, sliced fallback: {reason}" in log
+    assert scaled_gap(spectral.eigenvalues, dense48[0][:8]) <= 1e-10
 
 
 def test_fd_corrections_zero_field_sparse(pair48):
@@ -504,10 +556,7 @@ def test_slice_boundary_next_to_an_eightfold_level(pair48, monkeypatch, caplog):
     assert slices[0][0].shape[0] == 13
     assert (13, 14, 15, 16, 17, 18, 19, 20) in spectral.degeneracy_groups
     assert sum(len(values) for values, *_ in slices) >= 30
-    h = 1.0 / 48
-    s = np.sin(np.pi * h * np.arange(48)) ** 2
-    symbol = np.sort(((4.0 / h**2) * (s[:, None] + s[None, :])).ravel())
-    assert scaled_gap(lam, symbol[:30]) <= 1e-12
+    assert scaled_gap(lam, torus48_symbol()[:30]) <= 1e-12
 
 
 _SLICED_DIGEST_SCRIPT = """
