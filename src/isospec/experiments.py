@@ -236,13 +236,12 @@ def convexity_probe(surface, c1, c2, n_modes, tau_grid, tol_deg=eigen.DEFAULT_TO
 
     pair = assemble_base(surface)
 
-    @functools.cache
-    def blended_spectrum(tau):
+    def blend(tau):
         c = tau * c1.values + (1.0 - tau) * c2.values
         check_positive(c, f"blended factor at tau={tau!r}")
-        blend = conformal_pair(pair, c)
-        return eigen.solve(blend, n_modes, tol_deg).eigenvalues
+        return conformal_pair(pair, c)
 
+    blended_spectrum = _exact_spectra(blend, n_modes, tol_deg)
     reference = blended_spectrum(0.0)
     other_end = blended_spectrum(1.0)
     scale = 1.0 + np.abs(reference)
@@ -273,9 +272,9 @@ def metric_side_probe(surface, f, n_modes, t_grid, tol_deg=eigen.DEFAULT_TOL_DEG
     quadratic prediction with exact eigensolves at every t in t_grid.  With
     H1 = -f Delta0 the sum is the quadratic form <x, (lambda_g M0 - K) x>
     of the report's psi1_orthogonal column x, lambda_g the group mean.
-    When t_grid contains a symmetric pair +-h around the smallest step,
-    central finite differences for both corrections are reported as well;
-    their centre comes from a solve of the same shape as the +-h points.
+    When t_grid contains a symmetric pair +-h, central finite differences
+    for both corrections are reported as well, at the smallest such h and
+    centred on the exact family at t = 0.  Each distinct t is solved once.
     Overflows raise NumericalBreakdownError without numpy warnings.
     """
     if f.surface is not surface:
@@ -306,27 +305,20 @@ def metric_side_probe(surface, f, n_modes, t_grid, tol_deg=eigen.DEFAULT_TOL_DEG
     # the window holds complete degeneracy groups, so branch pairing
     # between prediction and exact solves cannot straddle the cut
     n_eval = report.n_modes
+    exact = _exact_spectra(lambda t: exact_perturbed_pair(pair, pert, t),
+                           n_eval, tol_deg)
     deviations = np.empty(t_grid.shape[0])
-    exact_cache = {}
     for k, t in enumerate(t_grid):
-        exact_pair = exact_perturbed_pair(pair, pert, float(t))
-        exact = eigen.solve(exact_pair, n_eval, tol_deg).eigenvalues
-        exact_cache[float(t)] = exact
+        spectrum = exact(float(t))
         predicted = predicted_spectrum(report, float(t))[:n_eval]
-        gap = np.abs(predicted - exact) / (1.0 + np.abs(exact))
+        gap = np.abs(predicted - spectrum) / (1.0 + np.abs(spectrum))
         deviations[k] = float(np.max(gap[:n_modes]))
 
-    fd_step = fd1 = fd2 = None
-    positive = sorted(t for t in exact_cache if t > 0.0)
-    for h in positive:
-        if -h in exact_cache:
-            fd_step = h
-            break
+    grid = {float(t) for t in t_grid}
+    fd_step = min((h for h in grid if h > 0.0 and -h in grid), default=None)
+    fd1 = fd2 = None
     if fd_step is not None:
-        plus, minus = exact_cache[fd_step], exact_cache[-fd_step]
-        fd1, fd2 = _central_differences(
-            pair, report, plus, minus, fd_step, n_modes, tol_deg
-        )
+        fd1, fd2 = _central_differences(report, exact, fd_step, n_modes)
     results = {
         "collapsed_lambda2": collapsed,
         "collapsed_vs_generic_max": collapsed_vs_generic,
@@ -352,51 +344,58 @@ def metric_side_probe(surface, f, n_modes, t_grid, tol_deg=eigen.DEFAULT_TOL_DEG
     )
 
 
-def _positions(perm):
-    pos = np.empty_like(perm)
-    pos[perm] = np.arange(perm.shape[0])
-    return pos
-
-
 def finite_difference_corrections(
     pair, pert, report, h, n_modes=None, tol_deg=eigen.DEFAULT_TOL_DEG
 ):
     """Per-branch central differences of the exact eigenvalue family.
 
-    Solves the exact problem at +-h, pairs ascending eigenvalues with the
-    adapted branches on each side (runs of tied first-order corrections
-    reverse for negative t), and returns (fd1, fd2): central-difference
-    estimates of lambda1 and lambda2 per branch, comparable entrywise
-    with the report (the raw second difference estimates the second
-    t-derivative, which is twice lambda2).  The centre value comes from a
-    solve of ``pair`` of the same shape as the +-h points, not from
-    report.lambda0, which keeps the values of the caller's own solve.
+    Solves the exact problem at +-h and at t = 0, pairs ascending
+    eigenvalues with the adapted branches on each side (runs of tied
+    first-order corrections reverse for negative t), and returns (fd1,
+    fd2): central-difference estimates of lambda1 and lambda2 per branch,
+    comparable entrywise with the report (the raw second difference
+    estimates the second t-derivative, which is twice lambda2).  The step
+    h must be finite and positive with h*h > 0 (ValueError), and n_modes
+    within [1, report.n_modes] (ModeCountError).
     """
     if n_modes is None:
         n_modes = report.n_modes
+    if not 1 <= n_modes <= report.n_modes:
+        raise ModeCountError(f"n_modes={n_modes} outside computed range")
+    if not (np.isfinite(h) and h > 0.0 and h * h > 0.0):
+        raise ValueError(f"step h={h!r} must be finite and positive, with h*h > 0")
     n_eval = eigen.complete_group_count(report.degeneracy_groups, n_modes)
-    plus = eigen.solve(exact_perturbed_pair(pair, pert, h), n_eval, tol_deg)
-    minus = eigen.solve(exact_perturbed_pair(pair, pert, -h), n_eval, tol_deg)
-    return _central_differences(
-        pair, report, plus.eigenvalues, minus.eigenvalues, h, n_modes, tol_deg
-    )
+    exact = _exact_spectra(lambda t: exact_perturbed_pair(pair, pert, t),
+                           n_eval, tol_deg)
+    return _central_differences(report, exact, h, n_modes)
 
 
-def _central_differences(pair, report, plus, minus, h, n_modes, tol_deg):
-    """(fd1, fd2) per branch from the ascending exact spectra at +-h.
+def _exact_spectra(pair_at, n_modes, tol_deg):
+    """Memoized t -> the n_modes lowest eigenvalues of pair_at(t), one solve
+    per distinct t.  Every t takes the same LAPACK path: a full and a subset
+    solve of one matrix differ by a few ulp, which a second difference's
+    division by h^2 would magnify far beyond the rounding of either."""
+    @functools.cache
+    def spectrum(t):
+        return eigen.solve(pair_at(t), n_modes, tol_deg).eigenvalues
+
+    return spectrum
+
+
+def _central_differences(report, exact, h, n_modes):
+    """(fd1, fd2) per branch from the exact family at +-h and its centre t = 0.
 
     Ascending eigenvalues pair with the adapted branches on each side
     (runs of tied first-order corrections reverse for negative t).  The
-    centre comes from a solve of the base pair for as many modes as the
-    +-h spectra, so all three points take the same LAPACK path: a full
-    and a subset solve of one matrix differ by a few ulp, which the
-    division by h^2 would magnify far beyond the rounding of either.
+    centre is exact(0.0), not report.lambda0, which holds the values of
+    the caller's own solve, of another shape.
     """
-    centre = eigen.solve(pair, plus.shape[0], tol_deg).eigenvalues
+    plus, minus, centre = exact(h), exact(-h), exact(0.0)
     branches = np.arange(n_modes)
     lam_b = centre[branches]
-    plus_b = plus[_positions(branch_permutation(report, 1.0))[branches]]
-    minus_b = minus[_positions(branch_permutation(report, -1.0))[branches]]
+    # argsort of a permutation is its inverse: the position of each branch
+    plus_b = plus[np.argsort(branch_permutation(report, 1.0))[branches]]
+    minus_b = minus[np.argsort(branch_permutation(report, -1.0))[branches]]
     fd1 = (plus_b - minus_b) / (2.0 * h)
     fd2 = 0.5 * (plus_b - 2.0 * lam_b + minus_b) / (h * h)
     return fd1, fd2

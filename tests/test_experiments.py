@@ -537,6 +537,65 @@ def test_fd_corrections_zero_field(torus12, side):
     assert np.all(fd2 == 0.0)
 
 
+@pytest.fixture(scope="module")
+def split_window12(torus12):
+    # a 9-mode window whose two 4-fold levels split at first order
+    pair = assemble_base(torus12)
+    f = field_from_expression(torus12, "cos(4*pi*x) + 0.2*sin(2*pi*y)")
+    pert = ConformalPerturbation(side=PerturbationSide.INVERSE_METRIC, f1=f)
+    from isospec.assembly import conformal_operators
+
+    spectral = eigen.solve_window(pair, 9)
+    report = compute_corrections(spectral, conformal_operators(pair, pert))
+    assert report.n_modes == 9
+    return pair, pert, report
+
+
+@pytest.mark.parametrize("h", [-1e-4, 0.0, -0.0, 1e-200, np.nan, np.inf, -np.inf])
+def test_fd_corrections_refuse_bad_step(split_window12, h):
+    # a negative step would pair the +-h spectra with the branch order of
+    # the wrong sign, and h = 0 or an underflowing h*h divides by zero
+    pair, pert, report = split_window12
+    with pytest.raises(ValueError, match="finite and positive"):
+        finite_difference_corrections(pair, pert, report, h)
+
+
+@pytest.mark.parametrize("n_modes", [0, -1, 10, 12])
+def test_fd_corrections_refuse_mode_count(split_window12, n_modes):
+    pair, pert, report = split_window12
+    with pytest.raises(ModeCountError):
+        finite_difference_corrections(pair, pert, report, 1e-4, n_modes=n_modes)
+
+
+def test_metric_probe_solves_each_t_once(torus12, solver_counts):
+    # the window, then t = 0 (also the finite-difference centre) and +-1e-3
+    f = field_from_expression(torus12, "0.2*cos(2*pi*x)")
+    report = metric_side_probe(torus12, f, 5, (0.0, 1e-3, -1e-3, 1e-3))
+    assert len(solver_counts["modes"]) == 4
+    unique = metric_side_probe(torus12, f, 5, (0.0, 1e-3, -1e-3))
+    deviations = report.prediction_deviations
+    assert np.array_equal(deviations[:3], unique.prediction_deviations)
+    assert deviations[3] == deviations[1]
+    assert report.fd_step == unique.fd_step == 1e-3
+    assert np.array_equal(report.fd_lambda1, unique.fd_lambda1)
+    assert np.array_equal(report.fd_lambda2, unique.fd_lambda2)
+
+
+def test_metric_probe_fd_is_the_public_fd(torus12):
+    f = field_from_expression(torus12, "0.3*cos(2*pi*x)*sin(2*pi*y)")
+    probe = metric_side_probe(torus12, f, 5, (1e-3, -1e-3, 5e-3))
+    pair = assemble_base(torus12)
+    pert = ConformalPerturbation(side=PerturbationSide.METRIC, f1=f)
+    from isospec.assembly import conformal_operators
+
+    spectral = eigen.solve_window(pair, 5)
+    report = compute_corrections(spectral, conformal_operators(pair, pert))
+    fd1, fd2 = finite_difference_corrections(pair, pert, report, 1e-3)
+    assert np.abs(probe.lambda1).max() >= 1e-3
+    assert np.array_equal(probe.fd_lambda1, fd1)
+    assert np.array_equal(probe.fd_lambda2, fd2)
+
+
 # ----------------------------------------------------------------------- weyl
 
 
