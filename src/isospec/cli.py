@@ -75,43 +75,20 @@ def _finite_number(value):
         return False
 
 
-def _reject_unknown(mapping, allowed, context):
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown}")
-
-
-def _validate_surface(spec):
-    """True for a valid surface spec; raises ConfigError on a fault."""
-    if not isinstance(spec, dict):
-        raise ConfigError("'surface' must be an object")
-    kind = _expect(spec, "kind", str, "surface", required=True)
-    if kind == "torus":
-        _reject_unknown(spec, {"kind", "nx", "ny", "lx", "ly"}, "surface")
-        _expect(spec, "nx", int, "surface", required=True)
-        _expect(spec, "ny", int, "surface", required=True)
-        for key in ("lx", "ly"):
-            extent = _expect(spec, key, float, "surface", default=1.0)
-            if extent <= 0:
-                raise ConfigError(f"surface: '{key}' must be positive")
-    elif kind == "mesh":
-        _reject_unknown(spec, {"kind", "path"}, "surface")
-        path = _expect(spec, "path", str, "surface", required=True)
-        if not os.path.isfile(path):
-            raise ConfigError(f"surface: mesh file not found: {path}")
-    else:
-        raise ConfigError(f"surface: unknown kind '{kind}'")
-    return True
-
-
 REQUIRED = object()  # the default of a key that the config must give
 
 _SIDES = {side.value for side in PerturbationSide}
 
 # key -> (JSON type, range check or None, message for a value out of range);
-# the surface check raises its own errors
+# the surface object is read by the same rules, with the keys of its kind
 _KEY_RULES = {
-    "surface": (dict, _validate_surface, None),
+    "surface": (dict, None, None),
+    "kind": (str, None, None),
+    "nx": (int, None, None),
+    "ny": (int, None, None),
+    "lx": (float, None, None),
+    "ly": (float, None, None),
+    "path": (str, os.path.isfile, "mesh file not found: {}"),
     "n_modes": (int, lambda n: n >= 1, "n_modes must be at least 1"),
     "tol_deg": (float, lambda tol: 1e-12 <= tol <= 1e-2, "tol_deg must lie in [1e-12, 1e-2]"),
     "seed": (int, lambda seed: seed >= 0, "seed must be non-negative"),
@@ -130,17 +107,46 @@ _KEY_RULES = {
     "t_grid": (list, None, None),
 }
 
+# surface kind -> its keys with their defaults; every key but kind is an
+# argument of its builder, make_torus or load_mesh, which checks the values
+_SURFACE_KEYS = {
+    "torus": {"kind": REQUIRED, "nx": REQUIRED, "ny": REQUIRED, "lx": 1.0, "ly": 1.0},
+    "mesh": {"kind": REQUIRED, "path": REQUIRED},
+}
 
-def _build_surface(spec):
-    if spec["kind"] == "torus":
-        return make_torus(spec["nx"], spec["ny"], spec.get("lx", 1.0), spec.get("ly", 1.0))
-    return load_mesh(spec["path"])
+
+def _read(data, keys, context, flags):
+    """The keys of data as their rules allow, given or at their default
+    (REQUIRED if data must give the key), with the flags that are not None
+    folded in; a key with no value is left out."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ConfigError(f"{context}: unknown keys {unknown}")
+    config = {}
+    for key, default in keys.items():
+        kinds, in_range, message = _KEY_RULES[key]
+        required = default is REQUIRED
+        value = _expect(data, key, kinds, context, required=required, default=default)
+        if flags.get(key) is not None:
+            value = flags[key]
+        if value is None:
+            continue
+        if in_range is not None and not in_range(value):
+            raise ConfigError(f"{context}: " + message.format(value))
+        if key == "surface":
+            kind = _expect(value, "kind", str, key, required=True)
+            if kind not in _SURFACE_KEYS:
+                raise ConfigError(f"surface: unknown kind '{kind}'")
+            value = _read(value, _SURFACE_KEYS[kind], key, {})
+        config[key] = value
+    return config
 
 
 def load_config(command, args):
-    """The validated config of a run as a plain dict: every key the
-    subcommand takes, given or at its default, with --modes and --seed
-    folded in; a key with no value is left out."""
+    """(config, surface, fields) of a run, or an InputError before any output:
+    the effective config with --modes and --seed folded in and n_modes
+    clamped to the node count, the surface it names, and the ScalarField of
+    each expression key on that surface (an empty f2 is no field)."""
     try:
         with open(args.config) as fh:
             data = json.load(fh)
@@ -150,24 +156,23 @@ def load_config(command, args):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    keys = _SUBCOMMANDS[command].config_keys
-    _reject_unknown(data, set(keys), command)
     flags = {"n_modes": args.modes, "seed": args.seed}
-    config = {}
-    for key, default in keys.items():
-        kinds, in_range, message = _KEY_RULES[key]
-        required = default is REQUIRED
-        value = _expect(data, key, kinds, command, required=required, default=default)
-        if flags.get(key) is not None:
-            value = flags[key]
-        if value is None:
-            continue
-        if in_range is not None and not in_range(value):
-            raise ConfigError(f"{command}: " + message.format(value))
-        config[key] = value
+    config = _read(data, _SUBCOMMANDS[command].config_keys, command, flags)
     if config.get("side") == PerturbationSide.METRIC.value and "f2" in config:
         raise ConfigError(f"{command}: metric side expansions stop at f1")
-    return config
+    spec = dict(config["surface"])
+    # builders by name at each call, so wrappers set on this module (bench/spans.py) see them
+    surface = (make_torus if spec.pop("kind") == "torus" else load_mesh)(**spec)
+    n = surface.node_count
+    if config.get("basis_size", 0) > n:
+        raise ConfigError(f"{command}: basis_size exceeds the {n} surface nodes")
+    config["n_modes"] = min(config["n_modes"], n)
+    fields = {
+        key: field_from_expression(surface, config[key])
+        for key in ("f1", "f2", "c1", "c2")
+        if key in config and (config[key] or key != "f2")
+    }
+    return config, surface, fields
 
 
 def _write_json(path, payload):
@@ -194,27 +199,24 @@ def _write_manifest(command, config, out_dir, artifacts, wall_time):
     _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
-def run_spectrum(config, surface, n_modes):
-    spectral = eigen.solve(assemble_base(surface), n_modes, config["tol_deg"])
+def run_spectrum(config, surface, fields):
+    spectral = eigen.solve(assemble_base(surface), config["n_modes"], config["tol_deg"])
     return {"spectrum.csv": spectral}
 
 
-def run_corrections(config, surface, n_modes):
+def run_corrections(config, surface, fields):
     pair = assemble_base(surface)
-    f1 = field_from_expression(surface, config["f1"])
-    f2 = field_from_expression(surface, config["f2"]) if config.get("f2") else None
-    pert = ConformalPerturbation(side=PerturbationSide(config["side"]), f1=f1, f2=f2)
+    side = PerturbationSide(config["side"])
+    pert = ConformalPerturbation(side, fields["f1"], fields.get("f2"))
     ops = conformal_operators(pair, pert)
-    report = compute_corrections(eigen.solve_window(pair, n_modes, config["tol_deg"]), ops)
+    spectral = eigen.solve_window(pair, config["n_modes"], config["tol_deg"])
+    report = compute_corrections(spectral, ops)
     return {"corrections.json": report.to_json_dict()}
 
 
-def run_obstruction(config, surface, n_modes):
-    if config["basis_size"] > surface.node_count:
-        n = surface.node_count
-        raise ConfigError(f"obstruction: basis_size exceeds the {n} surface nodes")
+def run_obstruction(config, surface, fields):
     # the map is basis-independent only over complete degeneracy groups
-    spectral = eigen.solve_window(assemble_base(surface), n_modes, config["tol_deg"])
+    spectral = eigen.solve_window(assemble_base(surface), config["n_modes"], config["tol_deg"])
     basis = default_field_basis(surface, config["basis_size"], spectral)
     report = obstruction_map(
         spectral, basis, spectral.n_modes, kernel_tol=config["kernel_tol"]
@@ -222,25 +224,23 @@ def run_obstruction(config, surface, n_modes):
     return {"obstruction.json": report.to_json_dict()}
 
 
-def run_convexity(config, surface, n_modes):
-    c1 = field_from_expression(surface, config["c1"])
-    c2 = field_from_expression(surface, config["c2"])
+def run_convexity(config, surface, fields):
     report = convexity_probe(
-        surface, c1, c2, n_modes, config["tau_grid"], config["tol_deg"]
+        surface, fields["c1"], fields["c2"], config["n_modes"], config["tau_grid"],
+        config["tol_deg"],
     )
     return {"convexity.json": report.to_json_dict(), "convexity.csv": report}
 
 
-def run_metric_probe(config, surface, n_modes):
-    f1 = field_from_expression(surface, config["f1"])
+def run_metric_probe(config, surface, fields):
     report = metric_side_probe(
-        surface, f1, n_modes, config["t_grid"], config["tol_deg"]
+        surface, fields["f1"], config["n_modes"], config["t_grid"], config["tol_deg"]
     )
     return {"metric_probe.json": report.to_json_dict(), "metric_probe.csv": report}
 
 
-def run_weyl(config, surface, n_modes):
-    spectral = eigen.solve(assemble_base(surface), n_modes, config["tol_deg"])
+def run_weyl(config, surface, fields):
+    spectral = eigen.solve(assemble_base(surface), config["n_modes"], config["tol_deg"])
     return {"weyl.json": {
         "schema_version": 1,
         "n_modes": spectral.n_modes,
@@ -250,10 +250,11 @@ def run_weyl(config, surface, n_modes):
 
 
 class Subcommand(NamedTuple):
-    """A runner (config, surface, n_modes) -> {file name: artifact}, where a
-    .json artifact is its payload and a .csv one has ``export_csv``; the
-    extra config keys with their defaults (REQUIRED if the config must give
-    the key, None if it has no value); and the default n_modes."""
+    """A runner (config, surface, fields) -> {file name: artifact} on the
+    inputs from load_config, where a .json artifact is its payload and a
+    .csv one has ``export_csv``; the extra config keys with their defaults
+    (REQUIRED if the config must give the key, None if it has no value);
+    and the default n_modes."""
 
     run: Callable
     keys: dict
@@ -293,13 +294,10 @@ _SUBCOMMANDS = {
 }
 
 
-def run_command(command, config, out_dir):
-    """Run the subcommand on at most the surface's node count of modes,
-    recorded in place as the config's n_modes, and write its artifacts;
-    returns their file names."""
-    surface = _build_surface(config["surface"])
-    n_modes = config["n_modes"] = min(config["n_modes"], surface.node_count)
-    artifacts = _SUBCOMMANDS[command].run(config, surface, n_modes)
+def run_command(command, config, surface, fields, out_dir):
+    """Run the subcommand on its inputs from load_config and write its
+    artifacts; returns their file names."""
+    artifacts = _SUBCOMMANDS[command].run(config, surface, fields)
     for name, artifact in artifacts.items():
         path = os.path.join(out_dir, name)
         if name.endswith(".csv"):
@@ -352,10 +350,10 @@ def main(argv=None):
     if args.command == "selftest":
         return run_selftest(seed=args.seed)
     try:
-        config = load_config(args.command, args)
+        config, surface, fields = load_config(args.command, args)
         _make_out_dir(args.out)
         started = time.monotonic()
-        artifacts = run_command(args.command, config, args.out)
+        artifacts = run_command(args.command, config, surface, fields, args.out)
         _write_manifest(args.command, config, args.out, artifacts, time.monotonic() - started)
     except (IsospecError, MemoryError) as exc:
         code = 2 if isinstance(exc, InputError) else 3

@@ -174,6 +174,8 @@ def obstruction_map(spectral, basis_fields, n_modes, kernel_tol=DEFAULT_KERNEL_T
     """
     if n_modes < 1 or n_modes > spectral.n_modes:
         raise ModeCountError(f"n_modes={n_modes} outside computed range")
+    if not basis_fields:
+        raise ValueError("basis_fields must hold at least one field")
     surface = spectral.pair.surface
     for f in basis_fields:
         if surface is not None and f.surface is not surface:
@@ -231,8 +233,8 @@ def convexity_probe(surface, c1, c2, n_modes, tau_grid, tol_deg=eigen.DEFAULT_TO
     check_positive(c1.values, "endpoint factor c1")
     check_positive(c2.values, "endpoint factor c2")
     taus = np.asarray(tau_grid, dtype=float)
-    if taus.size == 0 or not np.all((taus >= 0.0) & (taus <= 1.0)):
-        raise ValueError("tau_grid must be nonempty within [0, 1]")
+    if taus.ndim != 1 or taus.size == 0 or not np.all((taus >= 0.0) & (taus <= 1.0)):
+        raise ValueError("tau_grid must be a nonempty 1-D sequence within [0, 1]")
 
     pair = assemble_base(surface)
 
@@ -275,11 +277,15 @@ def metric_side_probe(surface, f, n_modes, t_grid, tol_deg=eigen.DEFAULT_TOL_DEG
     When t_grid contains a symmetric pair +-h, central finite differences
     for both corrections are reported as well, at the smallest such h and
     centred on the exact family at t = 0.  Each distinct t is solved once.
+    A t_grid that is empty, not flat or not finite raises ValueError before
+    any solve.
     Overflows raise NumericalBreakdownError without numpy warnings.
     """
     if f.surface is not surface:
         raise SurfaceMismatchError("field on a different surface")
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be a nonempty, finite 1-D sequence")
     pert = ConformalPerturbation(side=PerturbationSide.METRIC, f1=f)
     pair = assemble_base(surface)
     ops = conformal_operators(pair, pert)
@@ -372,9 +378,12 @@ def finite_difference_corrections(
 
 def _exact_spectra(pair_at, n_modes, tol_deg):
     """Memoized t -> the n_modes lowest eigenvalues of pair_at(t), one solve
-    per distinct t.  Every t takes the same LAPACK path: a full and a subset
-    solve of one matrix differ by a few ulp, which a second difference's
-    division by h^2 would magnify far beyond the rounding of either."""
+    per distinct t.  Every t is one eigen.solve of the same shape, so every t
+    takes the path (dense, or sliced on large surfaces) that the node count
+    and n_modes pick, unless a sliced solve falls back to dense: a full and
+    a subset solve of one matrix differ by a few ulp, which a second
+    difference's division by h^2 would magnify far beyond the rounding of
+    either."""
     @functools.cache
     def spectrum(t):
         return eigen.solve(pair_at(t), n_modes, tol_deg).eigenvalues

@@ -35,7 +35,12 @@ import numpy as np
 import scipy.linalg
 
 from .eigen import _Kernels, _fix_signs, _runs
-from .errors import ModeCountError, NumericalBreakdownError, SmallGapError
+from .errors import (
+    ModeCountError,
+    NumericalBreakdownError,
+    SmallGapError,
+    SurfaceMismatchError,
+)
 
 GAP_GUARD = 1e-12
 TIE_TOL = 1e-9
@@ -150,8 +155,10 @@ def adapt_degenerate_basis(spectral, ops):
     first-order ties.  Branches end up ordered by (first-order, then
     second-order) correction within each group.  Returns a new SpectralData
     with rotations recorded per group; singleton groups are untouched and
-    not recorded.
+    not recorded.  spectral must come from the operator pair of ops
+    (SurfaceMismatchError).
     """
+    _require_same_pair(spectral, ops)
     groups = spectral.degeneracy_groups
     lam = spectral.eigenvalues
     psi = spectral.eigenvectors.copy()
@@ -234,10 +241,19 @@ def second_order(spectral, ops):
     """lambda2 per mode, the diagonal of each group's M2; assumes groups adapted.
 
     The sums run over the whole basis (see the module docstring), so the
-    spectrum must not cut a degeneracy group at its end.
+    spectrum must not cut a degeneracy group at its end, and it must come
+    from the operator pair of ops.
     """
     _require_closed(spectral)
+    _require_same_pair(spectral, ops)
     return _second_order(spectral, ops)[0]
+
+
+def _require_same_pair(spectral, ops):
+    if spectral.pair is not ops.pair:
+        raise SurfaceMismatchError(
+            "spectrum and perturbation operators come from different operator pairs"
+        )
 
 
 def _require_closed(spectral):
@@ -265,7 +281,8 @@ def _second_order(spectral, ops):
 def compute_corrections(spectral, ops):
     """Adapt the basis and assemble the full correction report.
 
-    spectral must not cut a degeneracy group at its end: a solve of every
+    spectral must come from the operator pair of ops (SurfaceMismatchError),
+    and it must not cut a degeneracy group at its end: a solve of every
     mode, or a window from eigen.solve_window.  Each group costs one sparse
     factorization (two where stage 2 of the adaptation runs), whatever the
     number of modes outside the window.

@@ -43,6 +43,14 @@ def _stated_default(text):
     return value.strip("`") if value.startswith("`") else json.loads(value)
 
 
+def _assert_stated(text, default, where):
+    stated = _stated_default(text)
+    if default is cli.REQUIRED or default is None:
+        assert stated is default, where
+    else:
+        assert stated == json.loads(json.dumps(default)), where
+
+
 def test_readme_subcommand_table_matches_the_cli():
     rows = {}
     for line in README.read_text().split("Per subcommand:", 1)[1].splitlines():
@@ -58,12 +66,26 @@ def test_readme_subcommand_table_matches_the_cli():
         subcommand = cli._SUBCOMMANDS[name]
         assert set(keys) == set(subcommand.keys), name
         for key, default in subcommand.keys.items():
-            stated = _stated_default(keys[key])
-            if default is cli.REQUIRED or default is None:
-                assert stated is default, (name, key)
-            else:
-                assert stated == json.loads(json.dumps(default)), (name, key)
+            _assert_stated(keys[key], default, (name, key))
         stated = re.search(r"defaults to (\d+) modes", notes)
         if stated:
             assert int(stated[1]) == subcommand.default_modes, name
     assert "defaults to 100 modes" in rows["weyl"][1]
+
+
+def test_readme_surface_row_matches_the_cli():
+    row = next(
+        line for line in README.read_text().splitlines() if line.startswith("| `surface` |")
+    )
+    kinds = {}
+    # `{"kind": "torus"}` with `key` (required), `key` (default value); or ...
+    for text in row.split("|")[2].split("; or "):
+        kind = re.search(r'"kind": "(\w+)"', text)[1]
+        kinds[kind] = dict(re.findall(r"`(\w+)` \((required|default .+?)\)", text))
+    assert list(kinds) == list(cli._SURFACE_KEYS)
+    for kind, keys in kinds.items():
+        declared = dict(cli._SURFACE_KEYS[kind])
+        assert declared.pop("kind") is cli.REQUIRED
+        assert set(keys) == set(declared), kind
+        for key, default in declared.items():
+            _assert_stated(keys[key], default, (kind, key))

@@ -220,7 +220,9 @@ def test_manifest_echoes_the_effective_config(tmp_path, command):
         key: default for key, default in cli._SUBCOMMANDS[command].config_keys.items()
         if default is not None and default is not cli.REQUIRED
     }
-    assert echo == {**json.loads(json.dumps(defaults)), **given}
+    # the surface echo holds the periods' defaults too
+    surface = {"kind": "torus", "nx": 12, "ny": 12, "lx": 1.0, "ly": 1.0}
+    assert echo == {**json.loads(json.dumps(defaults)), **given, "surface": surface}
     # the echo is itself a config, and it reproduces the run
     again = write_config(tmp_path, echo, name="echo.json")
     assert cli.main([command, "--config", again, "--out", str(outs[1])]) == 0
@@ -539,6 +541,35 @@ def test_undecodable_mesh_is_config_error(tmp_path, capsys):
     record = only_error(capsys)
     assert record["error"] == "MeshParseError"
     assert str(path) in record["message"]
+
+
+@pytest.mark.parametrize(
+    "command, data, error",
+    [
+        ("spectrum", torus_config(frobnicate=1), "ConfigError"),
+        ("spectrum", {"surface": {"kind": "sphere"}}, "ConfigError"),
+        ("spectrum", {"surface": "misoriented-octahedron"}, "MeshTopologyError"),
+        ("spectrum", {"surface": {"kind": "torus", "nx": 2, "ny": 4}}, "GridTooSmallError"),
+        ("spectrum", {"surface": {"kind": "torus", "nx": 4, "ny": 4, "lx": 0}},
+         "GridTooSmallError"),
+        ("obstruction", torus_config(nx=4, basis_size=20), "ConfigError"),
+        ("corrections", torus_config(f1="bessel(x)"), "ExpressionError"),
+        ("corrections", torus_config(f1="x", f2="y", side="metric"), "ConfigError"),
+    ],
+    ids=["unknown-key", "unknown-kind", "mesh-topology", "grid-2x4", "lx-zero",
+         "basis-size", "expression", "metric-f2"],
+)
+def test_config_refusal_leaves_no_out_dir(tmp_path, capsys, command, data, error):
+    # the config, its surface and its fields are refused before --out exists
+    if data["surface"] == "misoriented-octahedron":
+        path = tmp_path / "misoriented.off"
+        path.write_text(OCTAHEDRON_OFF.replace("3 0 2 4", "3 0 4 2"))
+        data = {"surface": {"kind": "mesh", "path": str(path)}}
+    config = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+    assert only_error(capsys)["error"] == error
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "below-file"])

@@ -161,6 +161,12 @@ def test_obstruction_mode_window_validated(torus12, spectral12):
         obstruction_map(spectral12, basis, n_modes=spectral12.n_modes + 1)
 
 
+def test_obstruction_empty_basis_rejected(spectral12):
+    # an empty basis ended in numpy's "need at least one array to concatenate"
+    with pytest.raises(ValueError, match="basis_fields"):
+        obstruction_map(spectral12, [], n_modes=5)
+
+
 def test_obstruction_foreign_field_rejected(torus12, spectral12):
     other = make_torus(12, 12, 1.0, 1.0)
     with pytest.raises(SurfaceMismatchError):
@@ -360,6 +366,8 @@ def test_convexity_rejects_bad_grid(torus12):
         convexity_probe(torus12, c, c, 6, (0.0, 1.5))
     with pytest.raises(ValueError):
         convexity_probe(torus12, c, c, 6, (-0.1, 0.5))
+    with pytest.raises(ValueError, match="tau_grid"):
+        convexity_probe(torus12, c, c, 6, ((0.0, 0.5),))
 
 
 def test_convexity_rejects_nan_tau(torus12):
@@ -483,6 +491,18 @@ def test_metric_probe_foreign_field(torus12):
     other = make_torus(12, 12, 1.0, 1.0)
     with pytest.raises(SurfaceMismatchError):
         metric_side_probe(torus12, constant_field(other, 1.0), 5, (1e-3,))
+
+
+@pytest.mark.parametrize(
+    "t_grid", [(), (float("nan"),), (float("inf"), 1e-3), ((1e-3, -1e-3),)],
+    ids=["empty", "nan", "inf", "nested"],
+)
+def test_metric_probe_rejects_bad_grid(torus12, solver_counts, t_grid):
+    # an empty grid returned no deviations; NaN and inf raised PositivityError
+    f = field_from_expression(torus12, "0.2*cos(2*pi*x)")
+    with pytest.raises(ValueError, match="t_grid"):
+        metric_side_probe(torus12, f, 5, t_grid)
+    assert solver_counts["modes"] == []
 
 
 def test_metric_probe_exports(tmp_path, torus12):

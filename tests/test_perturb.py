@@ -10,7 +10,12 @@ from isospec.assembly import (
     conformal_operators,
     exact_perturbed_pair,
 )
-from isospec.errors import ModeCountError, NumericalBreakdownError, SmallGapError
+from isospec.errors import (
+    ModeCountError,
+    NumericalBreakdownError,
+    SmallGapError,
+    SurfaceMismatchError,
+)
 from isospec.perturb import (
     CorrectionReport,
     adapt_degenerate_basis,
@@ -310,6 +315,25 @@ def test_cut_window_is_refused():
         with pytest.raises(ModeCountError):
             second_order(spectral, ops)
     assert compute_corrections(eigen.solve_window(pair, 6), ops).n_modes == 9
+
+
+@pytest.mark.parametrize("nx, lx", [(12, 1.0), (16, 1.0), (12, 2.0)],
+                         ids=["other-period", "more-nodes", "equal-data"])
+def test_spectrum_of_another_pair_is_refused(nx, lx):
+    # operators of the 12 x 12 torus of period 2; a spectrum of the unit
+    # torus gave lambda1 = +-2.894 on the first excited level, twice the
+    # true +-1.447, and one of 16 x 16 nodes ended in a numpy matmul error
+    surface = make_torus(12, 12, 2.0, 1.0)
+    pair = assemble_base(surface)
+    f1 = field_from_expression(surface, "0.3*cos(2*pi*x)")
+    ops = conformal_operators(pair, ConformalPerturbation(PerturbationSide.INVERSE_METRIC, f1))
+    # a pair assembled anew from equal data is still another pair
+    spectral = eigen.solve_window(assemble_base(make_torus(nx, nx, lx, 1.0)), 8)
+    for check in (compute_corrections, adapt_degenerate_basis, second_order):
+        with pytest.raises(SurfaceMismatchError, match="different operator pairs"):
+            check(spectral, ops)
+    report = compute_corrections(eigen.solve_window(pair, 8), ops)
+    assert np.allclose(np.sort(np.abs(report.lambda1[1:5])), [0, 0, 1.447, 1.447], atol=1e-3)
 
 
 # ------------------------------------------------------------ special case QM
