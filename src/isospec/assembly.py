@@ -19,7 +19,6 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import (
-    DegenerateTriangleError,
     NumericalBreakdownError,
     PositivityError,
     SurfaceMismatchError,
@@ -82,7 +81,7 @@ class OperatorPair:
         if not np.all(self.mass > 0.0):
             raise NumericalBreakdownError("mass diagonal has nonpositive entries")
         if self.surface is not None:
-            area = analytic_area(self.surface)
+            area = self.surface.area
             if not abs(self.total_mass - area) <= 1e-10 * area:
                 raise NumericalBreakdownError(
                     f"total mass {self.total_mass!r} != surface area {area!r}"
@@ -117,29 +116,6 @@ class PerturbationOperators:
     def apply_h1_adjoint(self, v):
         """M0-adjoint of H1: Delta0 (h1_multiplier * v)."""
         return self.pair.apply_laplacian((self.h1_multiplier * v.T).T)
-
-
-def analytic_area(surface):
-    """Total area of the base metric."""
-    if surface.kind is SurfaceKind.TORUS_GRID:
-        return surface.lx * surface.ly
-    v = surface.vertices
-    f = surface.faces
-    cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-    return float(0.5 * _cross_norms(cross).sum())
-
-
-def _cross_norms(cross):
-    """Euclidean norms of the rows of cross, each row scaled by a power of two first.
-
-    np.linalg.norm squares the components, which overflow beyond about
-    1e154 and underflow below about 1e-154 although the norm is finite
-    and nonzero.  Scaling by a power of two is exact, so wherever the
-    squares neither overflow nor underflow the norms equal np.linalg.norm
-    bit for bit.
-    """
-    _, exponents = np.frexp(np.abs(cross).max(axis=1))
-    return np.ldexp(np.linalg.norm(np.ldexp(cross, -exponents[:, None]), axis=1), exponents)
 
 
 def assemble_base(surface):
@@ -190,21 +166,12 @@ def _assemble_torus(surface):
 def _assemble_mesh(surface):
     v = surface.vertices
     f = surface.faces
+    areas = surface.triangle_areas
+    double_area = 2.0 * areas
     # edge vectors opposite each corner
     e0 = v[f[:, 2]] - v[f[:, 1]]
     e1 = v[f[:, 0]] - v[f[:, 2]]
     e2 = v[f[:, 1]] - v[f[:, 0]]
-    double_area = _cross_norms(np.cross(e1, e2))
-    areas = 0.5 * double_area
-    # against the largest area, which stays finite where a mean overflows:
-    # a mesh without area is degenerate, an infinite area fails validate()
-    largest = areas.max()
-    bad = np.flatnonzero(areas <= 1e-14 * largest) if largest < np.inf else []
-    if len(bad):
-        raise DegenerateTriangleError(
-            f"triangle {int(bad[0])} has area {areas[bad[0]]:.3e} "
-            f"<= 1e-14 x largest area {largest:.3e}"
-        )
     # cot(angle at corner i) = <e_j, e_k> / |e_j x e_k|, against opposite edge
     cot0 = np.einsum("ij,ij->i", -e1, e2) / double_area
     cot1 = np.einsum("ij,ij->i", -e2, e0) / double_area

@@ -23,10 +23,11 @@ import numpy as np
 import scipy
 
 from . import __version__, eigen
-from .assembly import analytic_area, assemble_base, conformal_operators
-from .errors import ConfigError, InputError, IsospecError
+from .assembly import assemble_base, conformal_operators
+from .errors import ConfigError, InputError, InsufficientModesError, IsospecError
 from .experiments import (
     DEFAULT_KERNEL_TOL,
+    WEYL_MIN_MODES,
     convexity_probe,
     default_field_basis,
     metric_side_probe,
@@ -167,6 +168,10 @@ def load_config(command, args):
     if config.get("basis_size", 0) > n:
         raise ConfigError(f"{command}: basis_size exceeds the {n} surface nodes")
     config["n_modes"] = min(config["n_modes"], n)
+    if command == "weyl" and config["n_modes"] < WEYL_MIN_MODES:
+        raise InsufficientModesError(
+            f"Weyl fit needs at least {WEYL_MIN_MODES} modes, got {config['n_modes']}"
+        )
     fields = {
         key: field_from_expression(surface, config[key])
         for key in ("f1", "f2", "c1", "c2")
@@ -245,7 +250,7 @@ def run_weyl(config, surface, fields):
         "schema_version": 1,
         "n_modes": spectral.n_modes,
         "estimated_area": weyl_volume_estimate(spectral),
-        "analytic_area": analytic_area(surface),
+        "analytic_area": surface.area,
     }}
 
 

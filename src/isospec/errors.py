@@ -38,7 +38,13 @@ class DegenerateTriangleError(InputError):
 
 
 class ModeCountError(InputError):
-    """Mismatched number of modes between spectral data and operators."""
+    """A mode count outside what the call can serve.
+
+    Raised for a requested count outside [1, node count] or beyond the
+    modes a spectrum holds, for a mesh field basis larger than its
+    spectrum, and for a spectrum that may cut a degeneracy group where a
+    closed window is needed.
+    """
 
 
 class InsufficientModesError(InputError):
@@ -62,7 +68,14 @@ class PositivityError(IsospecError):
 
 
 class NumericalBreakdownError(IsospecError):
-    """The mass operator lost positivity; the eigensolve cannot proceed."""
+    """A computed quantity failed a numerical invariant.
+
+    Raised when an operator pair is not finite, symmetric, positive or of
+    the surface's area; when an eigensolve breaks orthonormality, its
+    residual bound or its ordering, exceeds the dense budget, or meets a
+    singular bordered system; and when a perturbation, a correction or a
+    probe result overflows.
+    """
 
 
 class SmallGapError(IsospecError):

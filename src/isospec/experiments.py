@@ -51,6 +51,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_KERNEL_TOL = 1e-8
 
+WEYL_MIN_MODES = 50  # the fewest modes the Weyl counting fit accepts
+
 
 @dataclass(frozen=True)
 class ObstructionReport:
@@ -198,16 +200,15 @@ def obstruction_map(spectral, basis_fields, n_modes, kernel_tol=DEFAULT_KERNEL_T
     # a kernel_tol of 1 or more admits every singular value, which the
     # threshold still does when its product overflows to inf
     with np.errstate(over="ignore"):
-        threshold = max(kernel_tol * (singular[0] if singular.size else 0.0),
-                        1e-10 * norms.max())
+        threshold = max(kernel_tol * singular[0], 1e-10 * norms.max())
     kernel_dim = int(np.sum(singular <= threshold))
     kernel_dim += fmat.shape[1] - singular.size
     logger.info(
         "obstruction map: N=%d, D=%d, sigma range [%g, %g], kernel_dim=%d",
         n_modes,
         fmat.shape[1],
-        singular[-1] if singular.size else 0.0,
-        singular[0] if singular.size else 0.0,
+        singular[-1],
+        singular[0],
         kernel_dim,
     )
     return ObstructionReport(
@@ -413,8 +414,10 @@ def _central_differences(report, exact, h, n_modes):
 def weyl_volume_estimate(spectral):
     """Area from the eigenvalue counting fit N(lambda) ~ (A / 4 pi) lambda."""
     n = spectral.n_modes
-    if n < 50:
-        raise InsufficientModesError(f"Weyl fit needs at least 50 modes, got {n}")
+    if n < WEYL_MIN_MODES:
+        raise InsufficientModesError(
+            f"Weyl fit needs at least {WEYL_MIN_MODES} modes, got {n}"
+        )
     lam = spectral.eigenvalues
     counts = np.arange(1, n + 1, dtype=float)
     denom = float(np.sum(lam * lam))

@@ -19,6 +19,7 @@ import scipy.sparse
 
 from . import expressions
 from .errors import (
+    DegenerateTriangleError,
     GridTooSmallError,
     MeshParseError,
     MeshTopologyError,
@@ -70,6 +71,11 @@ class DiscreteSurface:
         ``V - E + F`` (mesh only).
     genus : int | None
         ``(2 - euler_characteristic) / 2`` (mesh only).
+    triangle_areas : np.ndarray | None
+        Read-only ``(F,)`` area of each face (mesh only).
+    area : float | None
+        Total area of the base metric: ``lx * ly`` on a torus, the sum of
+        ``triangle_areas`` on a mesh.
     """
 
     kind: SurfaceKind
@@ -82,11 +88,13 @@ class DiscreteSurface:
     faces: np.ndarray | None = field(default=None, repr=False)
     euler_characteristic: int | None = None
     genus: int | None = None
+    triangle_areas: np.ndarray | None = field(default=None, repr=False)
+    area: float | None = None
 
     @property
     def cell_area(self):
         """Uniform cell area of the torus grid."""
-        return (self.lx * self.ly) / (self.nx * self.ny)
+        return self.area / (self.nx * self.ny)
 
     def node_coordinates(self):
         """Coordinates usable in field expressions, keyed by name.
@@ -195,6 +203,7 @@ def make_torus(nx, ny, lx, ly):
         ny=ny,
         lx=float(lx),
         ly=float(ly),
+        area=float(lx) * float(ly),
     )
 
 
@@ -218,12 +227,17 @@ def load_mesh(path):
 
 
 def mesh_from_arrays(vertices, faces):
-    """Build a validated TriangleMesh surface from raw arrays."""
+    """Build a validated TriangleMesh surface from raw arrays.
+
+    After the topology check, computes each triangle's area and refuses a
+    triangle whose area is at most 1e-14 times the largest.
+    """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     faces = np.ascontiguousarray(np.asarray(faces, dtype=np.int64))
     chi = _validate_mesh_topology(vertices, faces)
-    vertices.flags.writeable = False
-    faces.flags.writeable = False
+    areas, area = _triangle_areas(vertices, faces)
+    for array in (vertices, faces, areas):
+        array.flags.writeable = False
     surf = DiscreteSurface(
         kind=SurfaceKind.TRIANGLE_MESH,
         node_count=vertices.shape[0],
@@ -231,6 +245,8 @@ def mesh_from_arrays(vertices, faces):
         faces=faces,
         euler_characteristic=chi,
         genus=(2 - chi) // 2,
+        triangle_areas=areas,
+        area=area,
     )
     logger.info(
         "loaded mesh: %d vertices, %d faces, genus %d",
@@ -413,6 +429,38 @@ def _face_fault(i, row):
     if _read_rows([row], np.int64, 4) is None:
         return f"bad face line {i}"
     return None
+
+
+# coordinates far from unit scale over- or underflow the areas to a
+# non-finite value, which OperatorPair.validate() rejects; numpy stays silent
+@np.errstate(over="ignore", invalid="ignore")
+def _triangle_areas(vertices, faces):
+    """(areas, total) of the faces; refuses a degenerate triangle."""
+    v0, v1, v2 = (vertices[faces[:, i]] for i in range(3))
+    areas = 0.5 * _cross_norms(np.cross(v1 - v0, v2 - v0))
+    # against the largest area, which stays finite where a mean overflows:
+    # a mesh without area is degenerate, an infinite area fails validate()
+    largest = areas.max()
+    bad = np.flatnonzero(areas <= 1e-14 * largest) if largest < np.inf else []
+    if len(bad):
+        raise DegenerateTriangleError(
+            f"triangle {int(bad[0])} has area {areas[bad[0]]:.3e} "
+            f"<= 1e-14 x largest area {largest:.3e}"
+        )
+    return areas, float(areas.sum())
+
+
+def _cross_norms(cross):
+    """Euclidean norms of the rows of cross, each row scaled by a power of two first.
+
+    np.linalg.norm squares the components, which overflow beyond about
+    1e154 and underflow below about 1e-154 although the norm is finite
+    and nonzero.  Scaling by a power of two is exact, so wherever the
+    squares neither overflow nor underflow the norms equal np.linalg.norm
+    bit for bit.
+    """
+    _, exponents = np.frexp(np.abs(cross).max(axis=1))
+    return np.ldexp(np.linalg.norm(np.ldexp(cross, -exponents[:, None]), axis=1), exponents)
 
 
 def _validate_mesh_topology(vertices, faces):

@@ -4,7 +4,6 @@ import scipy.sparse as sp
 
 from isospec import eigen
 from isospec.assembly import (
-    analytic_area,
     assemble_base,
     check_positive,
     conformal_factor,
@@ -68,9 +67,7 @@ def test_total_mass_is_area(pair16, octahedron_path):
     mesh_pair = assemble_base(load_mesh(octahedron_path))
     # octahedron with unit-length axes: 8 triangles of side sqrt(2)
     assert mesh_pair.mass.sum() == pytest.approx(4.0 * np.sqrt(3.0), rel=1e-10)
-    assert analytic_area(mesh_pair.surface) == pytest.approx(
-        4.0 * np.sqrt(3.0), rel=1e-10
-    )
+    assert mesh_pair.surface.area == pytest.approx(4.0 * np.sqrt(3.0), rel=1e-10)
 
 
 def test_zero_area_triangle_rejected():
@@ -90,9 +87,8 @@ def test_zero_area_triangle_rejected():
             [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5],
         ]
     )
-    surface = mesh_from_arrays(vertices, faces)
     with pytest.raises(DegenerateTriangleError):
-        assemble_base(surface)
+        mesh_from_arrays(vertices, faces)
 
 
 def test_mesh_spectrum_near_sphere(icosphere_path):
@@ -258,7 +254,7 @@ def test_scaled_octahedron_spectrum_and_area(scale):
     unit = eigen.solve(assemble_base(_octahedron(1.0)), 6).eigenvalues
     scaled = eigen.solve(assemble_base(_octahedron(scale)), 6).eigenvalues
     assert np.abs(scaled * scale**2 - unit).max() <= 1e-12 * unit.max()
-    area = analytic_area(_octahedron(scale))
+    area = _octahedron(scale).area
     assert area / scale**2 == pytest.approx(4.0 * np.sqrt(3.0), rel=1e-12)
 
 
@@ -266,6 +262,6 @@ def test_flattened_octahedron_is_degenerate():
     # every vertex on the x axis: all areas are zero, and so is the largest
     flat = np.zeros((6, 3))
     flat[:, 0] = np.arange(6.0)
-    surface = mesh_from_arrays(flat, _octahedron(1.0).faces)
+    faces = _octahedron(1.0).faces
     with pytest.raises(DegenerateTriangleError, match="largest area 0.000e"):
-        assemble_base(surface)
+        mesh_from_arrays(flat, faces)

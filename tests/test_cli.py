@@ -13,8 +13,9 @@ import scipy.sparse.linalg
 
 from isospec import cli, eigen, errors
 from isospec.selftest import run_selftest
+from isospec.surface import icosphere_arrays
 
-from conftest import OCTAHEDRON_OFF
+from conftest import OCTAHEDRON_OFF, write_off
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -530,7 +531,7 @@ def test_weyl_with_too_few_modes_is_config_error(tmp_path, capsys, nx, flags):
     record = only_error(capsys)
     assert record["error"] == "InsufficientModesError"
     assert "at least 50 modes" in record["message"]
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_undecodable_mesh_is_config_error(tmp_path, capsys):
@@ -555,15 +556,24 @@ def test_undecodable_mesh_is_config_error(tmp_path, capsys):
         ("obstruction", torus_config(nx=4, basis_size=20), "ConfigError"),
         ("corrections", torus_config(f1="bessel(x)"), "ExpressionError"),
         ("corrections", torus_config(f1="x", f2="y", side="metric"), "ConfigError"),
+        ("spectrum", {"surface": "collapsed-ico1"}, "DegenerateTriangleError"),
+        ("weyl", torus_config(nx=4), "InsufficientModesError"),
     ],
     ids=["unknown-key", "unknown-kind", "mesh-topology", "grid-2x4", "lx-zero",
-         "basis-size", "expression", "metric-f2"],
+         "basis-size", "expression", "metric-f2", "collapsed-triangle", "weyl-floor"],
 )
 def test_config_refusal_leaves_no_out_dir(tmp_path, capsys, command, data, error):
     # the config, its surface and its fields are refused before --out exists
     if data["surface"] == "misoriented-octahedron":
         path = tmp_path / "misoriented.off"
         path.write_text(OCTAHEDRON_OFF.replace("3 0 2 4", "3 0 4 2"))
+        data = {"surface": {"kind": "mesh", "path": str(path)}}
+    elif data["surface"] == "collapsed-ico1":
+        # the third vertex of face 0 moved onto the midpoint of its other two
+        vertices, faces = icosphere_arrays(1)
+        a, b, c = faces[0]
+        vertices[c] = 0.5 * (vertices[a] + vertices[b])
+        path = write_off(tmp_path / "collapsed.off", vertices, faces)
         data = {"surface": {"kind": "mesh", "path": str(path)}}
     config = write_config(tmp_path, data)
     out = tmp_path / "out"

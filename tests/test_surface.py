@@ -68,6 +68,9 @@ def test_octahedron_mesh_valid(octahedron_path):
     assert surface.node_count == 6
     assert surface.euler_characteristic == 2
     assert surface.genus == 0
+    # eight equilateral faces of side sqrt(2), held read-only
+    assert surface.triangle_areas == pytest.approx(np.full(8, np.sqrt(3.0) / 2.0), rel=1e-14)
+    assert not surface.triangle_areas.flags.writeable
 
 
 def test_icosphere_mesh_valid(icosphere_path):
