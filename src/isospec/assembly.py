@@ -1,10 +1,12 @@
 """Stiffness/mass assembly and conformal perturbation operators.
 
 The base pair (K, M0) realizes the Laplacian of the unperturbed metric:
-Delta0 = M0^-1 K, symmetric with respect to <u, v> = u^T M0 v.  A conformal
-perturbation enters twice: as a multiplier in front of Delta0 (the operator
-series H1, H2) and as a reweighting of the inner product (the diagonal
-series G1, G2).  Both truncate at second order in t.
+Delta0 = M0^-1 K, symmetric with respect to <u, v> = u^T M0 v.  Every K is
+one weighted-edge sum, K = sum over edges (a, b) of w (e_a - e_b)(e_a - e_b)^T,
+with cotangent weights on meshes and on the torus grid's right-triangle split.
+A conformal perturbation enters twice: as a multiplier in front of Delta0
+(the operator series H1, H2) and as a reweighting of the inner product (the
+diagonal series G1, G2).  Both truncate at second order in t.
 
 In two dimensions the stiffness matrix is conformally invariant, so the
 exact perturbed problem at finite t only rescales the mass diagonal; this
@@ -121,49 +123,51 @@ class PerturbationOperators:
 def assemble_base(surface):
     """Assemble (K, M0) for the unperturbed metric.
 
-    Torus grids get the 5-point periodic finite-difference stiffness scaled
-    by the cell area with a uniform lumped mass; triangle meshes get the
-    cotangent stiffness with barycentric lumped mass.
+    K = sum of w (e_a - e_b)(e_a - e_b)^T over the surface's edge sets
+    (a, b, w).  Meshes give cotangent weights and a barycentric lumped mass;
+    tori give the 5-point weights cell/h^2 and a uniform mass.  Those are the
+    cotangent weights of the grid cut into right triangles: both angles facing
+    a grid edge have cot hy/hx (or hx/hy) = cell/h^2, and both facing a
+    diagonal are right angles, so diagonals weigh 0.
     """
     if surface.kind is SurfaceKind.TORUS_GRID:
-        pair = _assemble_torus(surface)
+        edges, mass = _torus_edges(surface)
     else:
-        pair = _assemble_mesh(surface)
+        edges, mass = _mesh_edges(surface)
+    rows, cols, vals = [], [], []
+    for a, b, w in edges:
+        rows.extend((a, b, a, b))
+        cols.extend((b, a, a, b))
+        vals.extend((-w, -w, w, w))
+    n = surface.node_count
+    stiffness = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+    pair = OperatorPair(surface=surface, stiffness=stiffness, mass=mass)
     pair.validate()
     return pair
 
 
-def _assemble_torus(surface):
+def _torus_edges(surface):
+    """East and north edge sets of the periodic grid, and its mass."""
     nx, ny = surface.nx, surface.ny
     hx = surface.lx / nx
     hy = surface.ly / ny
-    cell = surface.cell_area
-
-    def second_difference(n, h):
-        main = np.full(n, 2.0 / h**2)
-        off = np.full(n, -1.0 / h**2)
-        mat = sparse.diags(
-            [off, main, off], offsets=[-1, 0, 1], shape=(n, n), format="lil"
-        )
-        # periodic wraparound
-        mat[0, n - 1] += -1.0 / h**2
-        mat[n - 1, 0] += -1.0 / h**2
-        return sparse.csr_matrix(mat)
-
-    dx = second_difference(nx, hx)
-    dy = second_difference(ny, hy)
-    lap = sparse.kron(dx, sparse.identity(ny), format="csr") + sparse.kron(
-        sparse.identity(nx), dy, format="csr"
-    )
-    stiffness = sparse.csr_matrix(cell * lap)
-    mass = np.full(surface.node_count, cell)
-    return OperatorPair(surface=surface, stiffness=stiffness, mass=mass)
+    node = np.arange(surface.node_count)
+    ix, iy = np.divmod(node, ny)
+    mass = np.full(node.size, surface.cell_area)
+    # cell * (1/h^2) rounds as the stencil's cell * (-1/h^2); cell/h^2 does not
+    east = (node, (ix + 1) % nx * ny + iy, mass * (1.0 / hx**2))
+    north = (node, ix * ny + (iy + 1) % ny, mass * (1.0 / hy**2))
+    return [east, north], mass
 
 
 # coordinates far from unit scale over- or underflow the areas into a
 # non-finite K or mass, which validate() rejects; numpy stays silent
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _assemble_mesh(surface):
+def _mesh_edges(surface):
+    """Cotangent edge sets of a triangle mesh, and its lumped mass."""
     v = surface.vertices
     f = surface.faces
     areas = surface.triangle_areas
@@ -177,24 +181,16 @@ def _assemble_mesh(surface):
     cot1 = np.einsum("ij,ij->i", -e2, e0) / double_area
     cot2 = np.einsum("ij,ij->i", -e0, e1) / double_area
 
-    rows, cols, vals = [], [], []
-    for cot, (a, b) in ((cot0, (1, 2)), (cot1, (2, 0)), (cot2, (0, 1))):
-        w = 0.5 * cot
-        ia, ib = f[:, a], f[:, b]
-        rows.extend((ia, ib, ia, ib))
-        cols.extend((ib, ia, ia, ib))
-        vals.extend((-w, -w, w, w))
-    n = surface.node_count
-    stiffness = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-
-    mass = np.zeros(n)
+    mass = np.zeros(surface.node_count)
     np.add.at(mass, f[:, 0], areas / 3.0)
     np.add.at(mass, f[:, 1], areas / 3.0)
     np.add.at(mass, f[:, 2], areas / 3.0)
-    return OperatorPair(surface=surface, stiffness=stiffness, mass=mass)
+    edges = [
+        (f[:, 1], f[:, 2], 0.5 * cot0),
+        (f[:, 2], f[:, 0], 0.5 * cot1),
+        (f[:, 0], f[:, 1], 0.5 * cot2),
+    ]
+    return edges, mass
 
 
 def conformal_operators(pair, pert):

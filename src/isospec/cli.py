@@ -159,7 +159,7 @@ def load_config(command, args):
         raise ConfigError("config root must be an object")
     flags = {"n_modes": args.modes, "seed": args.seed}
     config = _read(data, _SUBCOMMANDS[command].config_keys, command, flags)
-    if config.get("side") == PerturbationSide.METRIC.value and "f2" in config:
+    if config.get("side") == PerturbationSide.METRIC.value and config.get("f2"):
         raise ConfigError(f"{command}: metric side expansions stop at f1")
     spec = dict(config["surface"])
     # builders by name at each call, so wrappers set on this module (bench/spans.py) see them

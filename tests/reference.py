@@ -3,9 +3,10 @@
 Perturbation theory outside the conformal family (dense synthetic
 operators and the textbook fixed-inner-product formulas), the full-basis
 divided sums the package replaced with one bordered solve per
-degeneracy group, and a replay of the elimination argument behind the
-paper's rigidity statement.  They check the package against the paper's
-identities and are not part of it.
+degeneracy group, the Kronecker-sum 5-point stencil the package replaced
+with its weighted-edge sum, and a replay of the elimination argument
+behind the paper's rigidity statement.  They check the package against
+the paper's identities and are not part of it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sparse
 
 from isospec.assembly import OperatorPair
 from isospec.errors import IsospecError, NumericalBreakdownError, SmallGapError
@@ -78,6 +80,32 @@ def generic_operators(pair, h1, h2=None, g1=None, g2=None):
     if h2 is not None:
         h2 = np.asarray(h2, dtype=float)
     return GenericPerturbationOperators(pair=pair, h1=h1, h2=h2, g1=g1, g2=g2)
+
+
+def five_point_stiffness(surface):
+    """Torus stiffness as the Kronecker sum of periodic second differences,
+    cell * (Dxx (x) I + I (x) Dyy), in the node order ix * ny + iy."""
+    nx, ny = surface.nx, surface.ny
+    hx = surface.lx / nx
+    hy = surface.ly / ny
+
+    def second_difference(n, h):
+        main = np.full(n, 2.0 / h**2)
+        off = np.full(n, -1.0 / h**2)
+        mat = sparse.diags(
+            [off, main, off], offsets=[-1, 0, 1], shape=(n, n), format="lil"
+        )
+        # periodic wraparound
+        mat[0, n - 1] += -1.0 / h**2
+        mat[n - 1, 0] += -1.0 / h**2
+        return sparse.csr_matrix(mat)
+
+    dx = second_difference(nx, hx)
+    dy = second_difference(ny, hy)
+    lap = sparse.kron(dx, sparse.identity(ny), format="csr") + sparse.kron(
+        sparse.identity(nx), dy, format="csr"
+    )
+    return sparse.csr_matrix(surface.cell_area * lap)
 
 
 def _cross_group_mask(groups, n_modes):

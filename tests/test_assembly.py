@@ -26,7 +26,7 @@ from isospec.surface import (
     mesh_from_arrays,
 )
 from conftest import OCTAHEDRON_OFF
-from reference import generic_operators
+from reference import five_point_stiffness, generic_operators
 
 
 def test_pair_validates(pair16):
@@ -40,6 +40,31 @@ def test_torus_first_eigenvalue(pair16):
     rel = abs(spectral.eigenvalues[1] - target) / target
     assert rel <= (np.pi / 16) ** 2  # O(h^2) envelope, c ~ 1
     assert rel >= (np.pi / 16) ** 2 / 6  # and genuinely second order
+
+
+@pytest.mark.parametrize(
+    "nx, ny, lx, ly, exact",
+    [
+        (4, 4, 1.0, 1.0, True),
+        (24, 24, 1.0, 1.0, True),
+        (48, 48, 1.0, 1.0, True),
+        (5, 7, 0.3, 1.7, False),
+        (8, 12, 0.3, 1.7, False),
+    ],
+)
+def test_torus_stiffness_matches_five_point_stencil(nx, ny, lx, ly, exact):
+    surface = make_torus(nx, ny, lx, ly)
+    K = assemble_base(surface).stiffness
+    ref = five_point_stiffness(surface)
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    if exact:
+        assert np.array_equal(K.data, ref.data)
+    else:
+        # a diagonal entry sums four edge weights where the stencil takes
+        # cell * (2/hx^2 + 2/hy^2); on these tori the two round apart
+        rel = np.abs(K.data - ref.data) / np.abs(ref.data)
+        assert rel.max() <= 4 * np.finfo(float).eps
 
 
 def test_constant_annihilated(pair16, octahedron_path):

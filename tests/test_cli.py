@@ -331,6 +331,20 @@ def test_metric_side_rejects_f2(tmp_path, capsys):
     assert "metric side" in last_error(capsys)["message"]
 
 
+def test_metric_side_empty_f2_is_no_field(tmp_path):
+    artifacts = []
+    for name, extra in (("without", {}), ("empty", {"f2": ""})):
+        config = write_config(
+            tmp_path,
+            torus_config(f1="0.2*cos(2*pi*x)", side="metric", **extra),
+            name=f"{name}.json",
+        )
+        out = tmp_path / name
+        assert cli.main(["corrections", "--config", config, "--out", str(out)]) == 0
+        artifacts.append((out / "corrections.json").read_bytes())
+    assert artifacts[0] == artifacts[1]
+
+
 def test_tol_deg_range_enforced(tmp_path, capsys):
     config = write_config(tmp_path, torus_config(tol_deg=0.5))
     assert cli.main(["spectrum", "--config", config, "--out", str(tmp_path)]) == 2
