@@ -1,15 +1,18 @@
 """Deterministic solver for K psi = lambda M0 psi with degeneracy detection.
 
-Two paths, chosen from the problem size and the mode count alone:
+solve_window returns the lowest modes through the end of the degeneracy
+group that the requested count cuts, and solve that window's head.  Two
+paths, chosen from the problem size and the mode count alone:
 
 * Dense LAPACK.  M0 is diagonal, so the generalized problem reduces
   exactly to the ordinary symmetric problem for S = M0^-1/2 K M0^-1/2;
   eigenvectors map back through M0^-1/2 and come out M0-orthonormal.
   Small problems, full solves and mode counts past the sliced crossover
-  take this path.  It holds one n x n working array, scaled and
-  symmetrized in place and then overwritten by LAPACK, besides its n x k
-  eigenvectors, and refuses solves whose 8 n (n + k) bytes exceed
-  DENSE_BUDGET_BYTES.
+  take this path.  It asks LAPACK for a margin of modes past the cut,
+  and for every mode if the cut's group outruns it.  It holds one n x n
+  working array, scaled and symmetrized in place and then overwritten by
+  LAPACK, besides its n x k eigenvectors, and refuses solves whose
+  8 n (n + k) bytes exceed DENSE_BUDGET_BYTES.
 * Spectrum slicing for the lowest modes of a large problem: [0, lambda_k]
   is covered by slices, one shift-invert Lanczos run each (ARPACK via
   scipy's eigsh, from a fixed start vector) followed by one Rayleigh-Ritz
@@ -21,8 +24,8 @@ Two paths, chosen from the problem size and the mode count alone:
   the counts at the two ends of a slice differ by exactly the number of
   eigenvalues it accepts.  A later slice's basis is M0-orthogonalized
   against the eigenvectors already accepted.  A few modes take one slice;
-  its certified run closes the degeneracy group at the cut, and that
-  closed window is what solve_window returns.  No n x n array is formed.
+  its certified run closes the degeneracy group at the cut, and the
+  certified slices are the window.  No n x n array is formed.
   At its peak, inside a later slice's Lanczos run, a solve holds the
   eigenvectors accepted so far, one factorization, and ARPACK's basis
   with the Ritz vectors it returns: 13.3 MB of arrays for the 4.1 MB
@@ -44,7 +47,7 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -193,31 +196,30 @@ def _fix_signs(vectors):
 
 
 def solve(pair, n_modes, tol_deg=DEFAULT_TOL_DEG):
-    """Lowest n_modes eigenpairs of K psi = lambda M0 psi.
+    """Lowest n_modes eigenpairs of K psi = lambda M0 psi: solve_window's head.
 
-    Deterministic: identical inputs give bit-identical outputs.  Up to
-    n / 8 modes of a large problem come from spectrum slicing, everything
-    else from dense LAPACK (see the module docstring).  Verifies
-    M0-orthonormality, per-mode residuals, and (for pairs whose stiffness
-    annihilates constants) that the ground eigenvalue is zero.
+    The window's first n_modes values and vectors, as views, regrouped;
+    the last group may be cut, so the result is not marked closed.
     """
-    return _solve(pair, n_modes, tol_deg, window=False)
+    window = solve_window(pair, n_modes, tol_deg)
+    values = window.eigenvalues[:n_modes]
+    return replace(
+        window,
+        eigenvalues=values,
+        eigenvectors=window.eigenvectors[:, :n_modes],
+        degeneracy_groups=degeneracy_partition(values, tol_deg),
+        closed=False,
+    )
 
 
 def solve_window(pair, n_modes, tol_deg=DEFAULT_TOL_DEG):
     """The lowest modes through the end of the degeneracy group of mode n_modes - 1.
 
-    Slicing already closes that group and certifies the count by inertia,
-    so its certified slices are the window.  The dense path sees
-    a group close only below its last mode, so it asks for one mode more
-    than the window and doubles until the group closes or it holds every
-    mode.  The result is marked closed.
+    Deterministic, and marked closed; the path follows from n and n_modes
+    (see the module docstring).  Verifies M0-orthonormality, per-mode
+    residuals, and (for pairs whose stiffness annihilates constants) that
+    the ground eigenvalue is zero.
     """
-    return _solve(pair, n_modes, tol_deg, window=True)
-
-
-def _solve(pair, n_modes, tol_deg, window):
-    """The one solve behind solve (window=False) and solve_window (window=True)."""
     n = pair.node_count
     if not 1 <= n_modes <= n:
         raise ModeCountError(f"n_modes={n_modes} outside [1, {n}]")
@@ -233,27 +235,25 @@ def _solve(pair, n_modes, tol_deg, window):
         kernels = _Kernels(pair)
         counts = kernels.counts
         try:
-            solved, vectors, slices = _solve_sliced(kernels, n_modes, tol_deg, window)
-            path = "sliced"
+            solved, vectors, slices = _solve_sliced(kernels, n_modes, tol_deg)
+            stop, path = solved.shape[0], "sliced"
         except _SparseFallback as exc:
             path = f"dense, sliced fallback: {exc}"
     else:
         path = "dense"
-    if solved is not None:
-        stop = solved.shape[0]  # slicing returns the closed window
-    else:
-        k = min(n_modes + 1, n) if window else n_modes
-        while True:
+    if solved is None:
+        # LAPACK sees a group close only below the last mode asked: past the
+        # cut, 8 modes hold a torus's largest symmetric level ({+-m, +-n} and
+        # the swap), and a quarter more its accidental 12- to 46-fold ones
+        for k in (min(n, n_modes + max(8, n_modes // 4)), n):
             solved, vectors = _solve_dense(pair, k)
             stop = complete_group_count(degeneracy_partition(solved, tol_deg), n_modes)
-            if not window or stop < k or k == n:
+            if stop < k or k == n:
                 break
-            k = min(2 * k, n)
-    keep = stop if window else n_modes
-    values = solved[:keep]
+    values = solved[:stop]
     # a dense solve's Fortran-order vectors are copied once, to C order;
     # slicing has joined its window in C order already
-    vectors = np.ascontiguousarray(vectors[:, :keep])
+    vectors = np.ascontiguousarray(vectors[:, :stop])
     _fix_signs(vectors)
 
     _check_invariants(pair, values, vectors)
@@ -262,16 +262,8 @@ def _solve(pair, n_modes, tol_deg, window):
         "solved %d modes (%s), %d requested, %d returned, %d Lanczos runs, "
         "%d inertia factorizations, %d slices, %d degeneracy groups, "
         "lambda range [%g, %g]",
-        solved.shape[0],
-        path,
-        n_modes,
-        keep,
-        counts["lanczos"],
-        counts["inertia"],
-        slices,
-        len(groups),
-        values[0],
-        values[-1],
+        solved.shape[0], path, n_modes, stop, counts["lanczos"], counts["inertia"],
+        slices, len(groups), values[0], values[-1],
     )
     values.flags.writeable = False
     vectors.flags.writeable = False
@@ -281,7 +273,7 @@ def _solve(pair, n_modes, tol_deg, window):
         eigenvectors=vectors,
         degeneracy_groups=groups,
         tol_deg=tol_deg,
-        closed=window,
+        closed=True,
     )
 
 
@@ -339,7 +331,7 @@ class _SparseFallback(Exception):
     """Slicing cannot deliver a certified answer; use dense."""
 
 
-def _solve_sliced(kernels, n_modes, tol_deg, window):
+def _solve_sliced(kernels, n_modes, tol_deg):
     """The closed window of n_modes, one certified Lanczos run per slice.
 
     Spectrum slicing (Ericsson & Ruhe 1980; Grimes, Lewis & Simon 1994).
@@ -351,10 +343,9 @@ def _solve_sliced(kernels, n_modes, tol_deg, window):
     shift.  Every slice ends at a new boundary in a gap between degeneracy
     groups, certified by inertia (see _slice).  The slices stop once the
     group of mode n_modes - 1 has closed below the last boundary.  Returns
-    (values, vectors, slices): the `stop` lowest values, through the end of
-    that group, their vectors (window=True) or the first n_modes of them,
-    and the number of slices; raises _SparseFallback when a slice cannot
-    be certified.
+    (values, vectors, slices): the `stop` lowest eigenpairs, through the
+    end of that group, and the number of slices; raises _SparseFallback
+    when a slice cannot be certified.
     """
     lower = sigma = _ground_shift(kernels.stiffness, kernels.pair.mass)
     count, stop = 0, n_modes
@@ -379,10 +370,9 @@ def _solve_sliced(kernels, n_modes, tol_deg, window):
         if stop <= count:
             # mode n_modes - 1 lies in the last slice (an earlier boundary
             # would have closed its group), so trimming that slice alone
-            # leaves the join the width returned
+            # leaves the join the window
             last = accepted_vectors[-1]
-            width = stop if window else n_modes
-            accepted_vectors[-1] = last[:, : last.shape[1] - (count - width)]
+            accepted_vectors[-1] = last[:, : last.shape[1] - (count - stop)]
             vectors = np.concatenate(accepted_vectors, axis=1)
             return all_values[:stop], vectors, len(accepted_values)
 

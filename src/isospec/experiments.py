@@ -379,12 +379,12 @@ def finite_difference_corrections(
 
 def _exact_spectra(pair_at, n_modes, tol_deg):
     """Memoized t -> the n_modes lowest eigenvalues of pair_at(t), one solve
-    per distinct t.  Every t is one eigen.solve of the same shape, so every t
-    takes the path (dense, or sliced on large surfaces) that the node count
-    and n_modes pick, unless a sliced solve falls back to dense: a full and
-    a subset solve of one matrix differ by a few ulp, which a second
-    difference's division by h^2 would magnify far beyond the rounding of
-    either."""
+    per distinct t.  Every t is one eigen.solve, one window of the same ask
+    trimmed, so every t takes the path (dense, or sliced on large surfaces)
+    that the node count and n_modes pick, unless a solve falls back or its
+    cut group outruns the dense ask: solves of one matrix that ask for
+    different counts differ by a few ulp, which a second difference's
+    division by h^2 would magnify far beyond the rounding of either."""
     @functools.cache
     def spectrum(t):
         return eigen.solve(pair_at(t), n_modes, tol_deg).eigenvalues

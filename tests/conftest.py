@@ -90,8 +90,8 @@ def solver_counts(monkeypatch):
     "lanczos" counts Lanczos runs, "inertia" the LDL^T inertia
     factorizations, "bordered" the bordered factorizations of degeneracy
     groups (the methods of the seam eigen._Kernels), and "modes" lists the
-    modes each call of the solve shared by eigen.solve and
-    eigen.solve_window returned.
+    width of each window eigen.solve_window returned, eigen.solve's
+    included.
     """
     counts = {"lanczos": 0, "inertia": 0, "bordered": 0, "modes": []}
 
@@ -106,12 +106,12 @@ def solver_counts(monkeypatch):
 
     for key in ("lanczos", "inertia", "bordered"):
         count(key)
-    shared = eigen._solve
+    real_window = eigen.solve_window
 
-    def solve(*args, **kwargs):
-        spectral = shared(*args, **kwargs)
+    def solve_window(*args, **kwargs):
+        spectral = real_window(*args, **kwargs)
         counts["modes"].append(spectral.n_modes)
         return spectral
 
-    monkeypatch.setattr(eigen, "_solve", solve)
+    monkeypatch.setattr(eigen, "solve_window", solve_window)
     return counts

@@ -174,15 +174,16 @@ def test_export_csv_round_trip(pair16, tmp_path):
 
 
 def test_solver_tolerates_scaled_spectra():
-    # widely scaled K keeps invariants intact
+    # widely scaled K keeps invariants intact; a power of two scales every
+    # entry exactly, so LAPACK's arithmetic scales exactly too
     surface = make_torus(8, 8, 1.0, 1.0)
     pair = assemble_base(surface)
     scaled = OperatorPair(
-        surface=surface, stiffness=pair.stiffness * 1e6, mass=pair.mass
+        surface=surface, stiffness=pair.stiffness * 2.0**20, mass=pair.mass
     )
     spectral = eigen.solve(scaled, 6)
     base = eigen.solve(pair, 6)
-    assert np.allclose(spectral.eigenvalues, 1e6 * base.eigenvalues, rtol=1e-11)
+    assert np.array_equal(spectral.eigenvalues, 2.0**20 * base.eigenvalues)
 
 
 # ------------------------------------------------------- sliced path, one slice
@@ -263,6 +264,20 @@ def test_sparse_ico4_matches_dense(pair_ico4, dense_ico4, caplog, k):
     assert scaled_gap(spectral.eigenvalues, dense_ico4[0][:k]) <= 1e-10
 
 
+def test_sliced_irregular_mesh_matches_dense(caplog):
+    # ico4 with its vertices jittered by 0.3 of the mean edge length: obtuse
+    # angles give K 193 positive off-diagonal pairs, and no level is degenerate
+    vertices, faces = icosphere_arrays(4)
+    edges = vertices[faces] - vertices[np.roll(faces, 1, axis=1)]
+    mean_edge = np.linalg.norm(edges, axis=2).mean()
+    jitter = np.random.default_rng(0).uniform(-1.0, 1.0, vertices.shape)
+    pair = assemble_base(mesh_from_arrays(vertices + 0.3 * mean_edge * jitter, faces))
+    assert np.count_nonzero(sp.triu(pair.stiffness, k=1).data > 0.0) == 193
+    spectral, log = solve_logged(caplog, pair, 60)
+    assert "(sliced)" in log
+    assert scaled_gap(spectral.eigenvalues, dense_reference(pair, 60)[0]) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "pair_name, dense_name", [("pair48", "dense48"), ("pair_ico4", "dense_ico4")]
 )
@@ -288,16 +303,18 @@ def test_sparse_rerun_bit_identical(pair48):
 
 
 def test_solve_window_closes_the_cut_group():
-    # 6 modes of the 12 x 12 torus end inside the level of modes 5-8; a
-    # 7-mode solve cannot see that level close, the doubled one can
+    # 6 modes of the 12 x 12 torus end inside the level of modes 5-8, which
+    # the window takes in whole; eigen.solve keeps its first 6 modes, bit
+    # for bit, and regroups them
     pair = assemble_base(make_torus(12, 12, 1.0, 1.0))
     window = eigen.solve_window(pair, 6)
-    wider = eigen.solve(pair, 14)
-    assert window.closed and not wider.closed
+    head = eigen.solve(pair, 6)
+    assert window.closed and not head.closed
     assert window.n_modes == 9
     assert window.degeneracy_groups == ((0,), (1, 2, 3, 4), (5, 6, 7, 8))
-    assert np.array_equal(window.eigenvalues, wider.eigenvalues[:9])
-    assert np.array_equal(window.eigenvectors, wider.eigenvectors[:, :9])
+    assert head.degeneracy_groups == ((0,), (1, 2, 3, 4), (5,))
+    assert np.array_equal(head.eigenvalues, window.eigenvalues[:6])
+    assert np.array_equal(head.eigenvectors, window.eigenvectors[:, :6])
     assert eigen.solve_window(pair, 5).n_modes == 5
     full = eigen.solve_window(pair, pair.node_count)
     assert full.closed and full.n_modes == pair.node_count
@@ -392,8 +409,9 @@ def test_sparse_path_choice(pair_ico4, eigsh_calls, caplog):
 
 
 def test_solve_logs_path(pair16, pair48, caplog):
+    # the dense path asks LAPACK for 8 modes past the cut
     _, log = solve_logged(caplog, pair16, 5)
-    assert "solved 5 modes (dense)" in log
+    assert "solved 13 modes (dense), 5 requested, 5 returned" in log
     _, log = solve_logged(caplog, pair48, 13)
     assert "solved 13 modes (sliced)" in log
     # the ground eigenvalue lies below the shift: the inertia count sends
@@ -404,7 +422,7 @@ def test_solve_logs_path(pair16, pair48, caplog):
         mass=pair48.mass,
     )
     spectral, log = solve_logged(caplog, shifted, 8)
-    assert "solved 8 modes (dense, sliced fallback: inertia count 1 below the shift" in log
+    assert "solved 16 modes (dense, sliced fallback: inertia count 1 below the shift" in log
     assert spectral.eigenvalues[0] == pytest.approx(-20.0, rel=1e-10)
 
 
@@ -450,7 +468,7 @@ def test_sparse_kernel_faults_fall_back_to_dense(
     # sends the solve to dense, with its reason in the log
     monkeypatch.setattr(spla, name, fault(getattr(spla, name)))
     spectral, log = solve_logged(caplog, pair48, 8)
-    assert f"solved 8 modes (dense, sliced fallback: {reason}" in log
+    assert f"solved 16 modes (dense, sliced fallback: {reason}" in log
     assert scaled_gap(spectral.eigenvalues, dense48[0][:8]) <= 1e-10
 
 
@@ -675,6 +693,44 @@ def test_full_solve_holds_one_matrix_besides_its_output():
     assert traced_peak(eigen.solve, pair, n) <= 2.5 * 8 * n * n
 
 
+@pytest.fixture()
+def dense_asks(monkeypatch):
+    """The mode count of each eigen._solve_dense call while a test runs."""
+    asks = []
+    real = eigen._solve_dense
+
+    def counted(pair, n_modes):
+        asks.append(n_modes)
+        return real(pair, n_modes)
+
+    monkeypatch.setattr(eigen, "_solve_dense", counted)
+    return asks
+
+
+@pytest.mark.parametrize("n_modes", [8, 10])
+@pytest.mark.parametrize("surface", ["torus24", "ico3"])
+def test_dense_window_asks_lapack_once(dense_asks, surface, n_modes):
+    # the first ask runs 8 modes past the cut, so the cut's group closes
+    # inside it
+    if surface == "torus24":
+        pair = assemble_base(make_torus(24, 24, 1.0, 1.0))
+    else:
+        pair = assemble_base(mesh_from_arrays(*icosphere_arrays(3)))
+    window = eigen.solve_window(pair, n_modes)
+    assert dense_asks == [n_modes + 8]
+    assert window.closed and window.n_modes < n_modes + 8
+
+
+def test_dense_window_of_one_chained_group_asks_every_mode_once(dense_asks):
+    # on the 8 x 8 torus of period 1e5 every eigenvalue lies within tol_deg
+    # of the next, so the cut's group runs past any ask short of all modes
+    pair = assemble_base(make_torus(8, 8, 1e5, 1e5))
+    window = eigen.solve_window(pair, 10)
+    assert dense_asks == [18, 64]
+    assert window.closed and window.n_modes == 64
+    assert window.degeneracy_groups == (tuple(range(64)),)
+
+
 def test_dense_budget_by_arithmetic():
     # 128 x 128 torus with 300 modes: 2.2 GB; ico6 (40,962 nodes): 13.4 GB
     eigen._check_dense_budget(128 * 128, 300)
@@ -683,16 +739,21 @@ def test_dense_budget_by_arithmetic():
 
 
 def test_dense_budget_refuses_before_allocating(pair16, monkeypatch):
+    # a dense solve of k modes asks LAPACK for k + 8 while k < 32
     n = pair16.node_count
-    budget = 8 * n * (n + 12)
+    budget = 8 * n * (n + 20)
     monkeypatch.setattr(eigen, "DENSE_BUDGET_BYTES", budget)
     assert eigen.solve(pair16, 12).n_modes == 12
-    message = f"needs {8 * n * (n + 13)} bytes, above the dense budget of {budget} bytes"
+    message = f"needs {8 * n * (n + 21)} bytes, above the dense budget of {budget} bytes"
     with pytest.raises(NumericalBreakdownError, match=message):
         eigen.solve(pair16, 13)
-    # the window doubles its dense request from 13 modes
-    with pytest.raises(NumericalBreakdownError, match="dense budget"):
-        eigen.solve_window(pair16, 12)
+    # the 30-fold level of modes 113-142 runs to the end of the first ask
+    # of 114 + 28 modes, so the window asks for every mode
+    budget = 8 * n * (n + 142)
+    monkeypatch.setattr(eigen, "DENSE_BUDGET_BYTES", budget)
+    message = f"needs {8 * n * 2 * n} bytes, above the dense budget of {budget} bytes"
+    with pytest.raises(NumericalBreakdownError, match=message):
+        eigen.solve_window(pair16, 114)
 
 
 def test_dense_budget_covers_the_sparse_fallback(pair48, monkeypatch):
